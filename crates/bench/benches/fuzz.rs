@@ -8,7 +8,7 @@
 //! for fixed knobs, so any drift is a behavior change worth reading.
 //!
 //! Run with `cargo bench -p jsk-bench --bench fuzz`. Knobs:
-//! `JSK_FUZZ_ITERS` (default 64 here — a smoke budget; the fuzz-smoke CI
+//! `JSK_FUZZ_ITERS` (default 64 here — a smoke budget; the `smoke (fuzz)` CI
 //! job runs the full example at 200) and `JSK_FUZZ_SEED` (default 1).
 
 use jsk_bench::record::{BenchReporter, CellRecord};

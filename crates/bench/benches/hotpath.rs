@@ -206,12 +206,12 @@ fn trace_record(rounds: usize) -> (Phase, u64) {
     (phase, symbols)
 }
 
-/// The observability hot path: the exact per-event hook sequence the
-/// instrumented kernel performs (dispatch span, dispatched counter,
-/// latency histogram, depth gauge), driven through the dynamic
-/// [`Subscriber`](jsk_observe::Subscriber) handle the kernel holds. A
-/// metrics-only observer keeps the loop allocation-free after warm-up —
-/// this is the per-event cost `observe` adds when enabled.
+/// The observability hot path: a fixed hook sequence (dispatch span,
+/// counter, latency histogram, depth gauge) driven through the dynamic
+/// [`Subscriber`](jsk_observe::Subscriber) handle the kernel holds — the
+/// per-hook cost an attached observer adds. The kernel itself no longer
+/// bumps a counter per event: it publishes `KernelStats` once per run.
+/// A metrics-only observer keeps the loop allocation-free after warm-up.
 fn observe_hooks(rounds: u64) -> (Phase, u64, jsk_observe::MetricsSnapshot) {
     let obs = jsk_observe::Observer::new().shared();
     let handle = jsk_observe::handle_of(&obs);

@@ -276,7 +276,7 @@ fn compare_metrics(target: &str, baseline: &BenchRun, fresh: &BenchRun, out: &mu
         (Some(_), None) => out.push(Finding::note(
             target,
             "baseline carries observe metrics but fresh run has none \
-             (observe feature off?)"
+             (no observer attached?)"
                 .to_owned(),
         )),
         (None, Some(_)) => out.push(Finding::note(

@@ -61,7 +61,6 @@ pub struct BrowserConfig {
     /// apply when their shard id matches this.
     pub shard: Option<u64>,
     /// Observer to instrument the run with (`None` → uninstrumented).
-    #[cfg(feature = "observe")]
     pub observer: Option<jsk_observe::ObsHandle>,
 }
 
@@ -78,7 +77,6 @@ impl BrowserConfig {
             step_limit: 5_000_000,
             fault: None,
             shard: None,
-            #[cfg(feature = "observe")]
             observer: None,
         }
     }
@@ -105,7 +103,6 @@ impl BrowserConfig {
     /// the mediator (see `Mediator::attach_observer`) so the kernel
     /// instruments its dispatch path. Build one with
     /// `jsk_observe::handle_of(&Observer::with_trace().shared())`.
-    #[cfg(feature = "observe")]
     #[must_use]
     pub fn with_observer(mut self, observer: jsk_observe::ObsHandle) -> BrowserConfig {
         self.observer = Some(observer);
@@ -115,7 +112,6 @@ impl BrowserConfig {
 
 /// Pre-interned browser-side observability names (interned once when the
 /// observer attaches, so the hooks never touch a string).
-#[cfg(feature = "observe")]
 #[derive(Debug)]
 struct BrowserSyms {
     task: jsk_observe::Sym,
@@ -132,14 +128,12 @@ struct BrowserSyms {
 }
 
 /// The browser's attached observer plus its interned names.
-#[cfg(feature = "observe")]
 #[derive(Debug)]
 struct ObsCtx {
     handle: jsk_observe::ObsHandle,
     syms: BrowserSyms,
 }
 
-#[cfg(feature = "observe")]
 impl ObsCtx {
     fn new(handle: jsk_observe::ObsHandle) -> ObsCtx {
         let syms = BrowserSyms {
@@ -376,7 +370,6 @@ pub struct Browser {
     batch_pes: Vec<PendingEvent>,
     batch_decisions: Vec<ConfirmDecision>,
     /// Attached observer and its pre-interned names.
-    #[cfg(feature = "observe")]
     obs: Option<ObsCtx>,
 }
 
@@ -408,7 +401,6 @@ impl Browser {
                 .and_then(|p| p.skew_for(shard).copied())
                 .filter(|s| !s.is_inert())
         });
-        #[cfg(feature = "observe")]
         let obs = cfg.observer.clone().map(ObsCtx::new);
         let mut b = Browser {
             rng_cpu: root.fork("cpu"),
@@ -454,12 +446,10 @@ impl Browser {
             batch_items: Vec::new(),
             batch_pes: Vec::new(),
             batch_decisions: Vec::new(),
-            #[cfg(feature = "observe")]
             obs,
         };
         // The mediator gets the same observer so kernel spans, browser
         // task spans, and fault instants land in one interner and export.
-        #[cfg(feature = "observe")]
         if let Some(o) = b.obs.as_ref() {
             let handle = o.handle.clone();
             if let Some(m) = b.mediator.as_mut() {
@@ -524,6 +514,7 @@ impl Browser {
             self.handle(p.value);
             self.steps += 1;
         }
+        self.publish_metrics();
     }
 
     /// Runs until the virtual clock reaches `deadline` (events after it stay
@@ -542,6 +533,13 @@ impl Browser {
         }
         if self.now < deadline {
             self.now = deadline;
+        }
+        self.publish_metrics();
+    }
+
+    fn publish_metrics(&mut self) {
+        if let Some(m) = self.mediator.as_mut() {
+            m.publish_metrics();
         }
     }
 
@@ -821,7 +819,6 @@ impl Browser {
 
     pub(crate) fn fact(&mut self, fact: Fact) {
         let t = self.current_instant();
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
             match &fact {
                 Fact::FetchStarted { .. } => o.handle.counter_add(o.syms.fetches_started, 1),
@@ -880,7 +877,6 @@ impl Browser {
         if let Some(inj) = self.fault.as_mut() {
             inj.note_worker_crashed();
         }
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
             o.handle.counter_add(o.syms.worker_crashes, 1);
         }
@@ -928,7 +924,6 @@ impl Browser {
             Some(inj) => inj.confirm_fate(),
             None => ConfirmFate::Deliver,
         };
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
             match &fate {
                 ConfirmFate::Drop => o.handle.counter_add(o.syms.confirm_dropped, 1),
@@ -1313,7 +1308,6 @@ impl Browser {
         });
         // The task span: its width is the task's simulated cost — the
         // quantity the event-loop-occupancy attacks (Loophole) measure.
-        #[cfg(feature = "observe")]
         let obs_task = self.obs.as_ref().map(|o| {
             o.handle.span_enter(o.syms.task, thread.index(), start);
             (o.handle.clone(), o.syms.task, o.syms.tasks)
@@ -1324,7 +1318,6 @@ impl Browser {
             cb(&mut scope, task.arg);
         }
         let cur = self.cur.take().expect("current task context");
-        #[cfg(feature = "observe")]
         if let Some((h, task_sym, tasks_sym)) = obs_task {
             h.span_exit(task_sym, thread.index(), start + cur.cost);
             h.counter_add(tasks_sym, 1);

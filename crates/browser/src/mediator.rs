@@ -305,10 +305,15 @@ pub trait Mediator {
     /// metric names here and hook their dispatch path. The default
     /// ignores the handle — a defense without instrumentation stays
     /// uninstrumented.
-    #[cfg(feature = "observe")]
     fn attach_observer(&mut self, observer: jsk_observe::ObsHandle) {
         let _ = observer;
     }
+
+    /// Flushes counts the mediator keeps itself into the attached
+    /// observer. `Browser::run_until` and `Browser::run_until_idle` call
+    /// this on return, so an observer harvested between runs is current.
+    /// The default publishes nothing.
+    fn publish_metrics(&mut self) {}
 
     /// A thread came up (main thread at browser start, worker threads on
     /// creation). Kernel mediators use this to set up per-thread state.

@@ -123,80 +123,41 @@ enum StreamClass {
 /// share a ladder, so one page's traffic cannot shift another's slots.
 type StreamKey = (ThreadId, u32, ThreadId, StreamClass, u64);
 
-/// A [`TokenTable`] checked against the map shape it replaced: in debug
-/// builds every operation's result is asserted to agree with a shadow
-/// `FastMap`, kept for one release while the dense table bakes in. In
-/// release builds this is a zero-cost newtype over the table.
-struct ShadowedTable<V: Copy + PartialEq + std::fmt::Debug> {
-    table: TokenTable<V>,
-    #[cfg(debug_assertions)]
-    shadow: FastMap<u64, V>,
+/// How many [`KernelStats`] counters [`stat_counters`] publishes.
+const STAT_COUNTERS: usize = 12;
+/// Index of `kernel.watchdog_expired` in [`stat_counters`].
+const WATCHDOG_EXPIRED: usize = 9;
+/// Index of `kernel.orphans_reaped` in [`stat_counters`].
+const ORPHANS_REAPED: usize = 10;
+
+/// The [`KernelStats`] counters an attached observer receives, as
+/// (metric name, current value), in interning order. Each publish adds
+/// every counter's growth since the previous one, so the observer's
+/// totals equal the stats exactly (asserted by `tests/observe.rs`).
+fn stat_counters(s: &KernelStats) -> [(&'static str, u64); STAT_COUNTERS] {
+    [
+        ("kernel.registered", s.registered),
+        ("kernel.confirmed", s.confirmed),
+        ("kernel.dispatched", s.dispatched),
+        ("kernel.cancelled", s.cancelled),
+        ("kernel.withheld_behind_pending", s.withheld_behind_pending),
+        ("kernel.deferred_to_prediction", s.deferred_to_prediction),
+        ("kernel.api_calls", s.api_calls),
+        ("kernel.denials", s.total_denials()),
+        ("kernel.kernel_messages", s.kernel_messages),
+        ("kernel.watchdog_expired", s.watchdog_expired),
+        ("kernel.orphans_reaped", s.orphans_reaped),
+        ("kernel.equeue_overflow", s.equeue_overflow),
+    ]
 }
 
-impl<V: Copy + PartialEq + std::fmt::Debug> ShadowedTable<V> {
-    fn new() -> ShadowedTable<V> {
-        ShadowedTable {
-            table: TokenTable::new(),
-            #[cfg(debug_assertions)]
-            shadow: FastMap::default(),
-        }
-    }
-
-    fn insert(&mut self, key: u64, value: V) {
-        let old = self.table.insert(key, value);
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            old,
-            self.shadow.insert(key, value),
-            "token table diverged from shadow map on insert({key})"
-        );
-        let _ = old;
-    }
-
-    fn get(&self, key: u64) -> Option<V> {
-        let got = self.table.get(key).copied();
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            got,
-            self.shadow.get(&key).copied(),
-            "token table diverged from shadow map on get({key})"
-        );
-        got
-    }
-
-    fn remove(&mut self, key: u64) -> Option<V> {
-        let got = self.table.remove(key);
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            got,
-            self.shadow.remove(&key),
-            "token table diverged from shadow map on remove({key})"
-        );
-        got
-    }
-}
-
-/// Pre-interned kernel observability names. Every counter here mirrors a
-/// [`KernelStats`] field and is bumped at the same site, so an observer's
-/// totals reconcile **exactly** with a stats snapshot (asserted by
-/// `tests/observe.rs`).
-#[cfg(feature = "observe")]
+/// Pre-interned kernel observability names.
 struct KernelSyms {
     dispatch: jsk_observe::Sym,
     equeue_drain: jsk_observe::Sym,
     policy_decide: jsk_observe::Sym,
-    registered: jsk_observe::Sym,
-    confirmed: jsk_observe::Sym,
-    dispatched: jsk_observe::Sym,
-    cancelled: jsk_observe::Sym,
-    withheld_behind_pending: jsk_observe::Sym,
-    deferred_to_prediction: jsk_observe::Sym,
-    api_calls: jsk_observe::Sym,
-    denials: jsk_observe::Sym,
-    kernel_messages: jsk_observe::Sym,
-    watchdog_expired: jsk_observe::Sym,
-    orphans_reaped: jsk_observe::Sym,
-    equeue_overflow: jsk_observe::Sym,
+    /// The [`stat_counters`] names, in the same order.
+    stats: [jsk_observe::Sym; STAT_COUNTERS],
     policy_allow: jsk_observe::Sym,
     policy_deny: jsk_observe::Sym,
     policy_defer: jsk_observe::Sym,
@@ -214,7 +175,6 @@ struct KernelSyms {
     kevent_idb: jsk_observe::Sym,
 }
 
-#[cfg(feature = "observe")]
 impl KernelSyms {
     /// The async-span name for an event kind's register→dispatch lifetime.
     fn kevent(&self, kind: AsyncKind) -> jsk_observe::Sym {
@@ -231,32 +191,27 @@ impl KernelSyms {
     }
 }
 
-/// The kernel's attached observer plus its interned names.
-#[cfg(feature = "observe")]
+/// The kernel's attached observer, its interned names, and what has been
+/// published into it so far.
 struct KernelObs {
     handle: jsk_observe::ObsHandle,
     syms: KernelSyms,
+    /// The [`stat_counters`] values as of the last publish.
+    published: [u64; STAT_COUNTERS],
+    /// A thread exited since the last publish. `kernel.orphans_reaped` is
+    /// then published even if it did not grow, so it shows up (at 0) in
+    /// the snapshot of any run in which a thread exited.
+    thread_exited: bool,
 }
 
-#[cfg(feature = "observe")]
 impl KernelObs {
-    fn new(handle: jsk_observe::ObsHandle) -> KernelObs {
+    fn new(handle: jsk_observe::ObsHandle, stats: &KernelStats) -> KernelObs {
+        let counters = stat_counters(stats);
         let syms = KernelSyms {
             dispatch: handle.intern("kernel.dispatch"),
             equeue_drain: handle.intern("kernel.equeue_drain"),
             policy_decide: handle.intern("policy.decide"),
-            registered: handle.intern("kernel.registered"),
-            confirmed: handle.intern("kernel.confirmed"),
-            dispatched: handle.intern("kernel.dispatched"),
-            cancelled: handle.intern("kernel.cancelled"),
-            withheld_behind_pending: handle.intern("kernel.withheld_behind_pending"),
-            deferred_to_prediction: handle.intern("kernel.deferred_to_prediction"),
-            api_calls: handle.intern("kernel.api_calls"),
-            denials: handle.intern("kernel.denials"),
-            kernel_messages: handle.intern("kernel.kernel_messages"),
-            watchdog_expired: handle.intern("kernel.watchdog_expired"),
-            orphans_reaped: handle.intern("kernel.orphans_reaped"),
-            equeue_overflow: handle.intern("kernel.equeue_overflow"),
+            stats: counters.map(|(name, _)| handle.intern(name)),
             policy_allow: handle.intern("policy.allow"),
             policy_deny: handle.intern("policy.deny"),
             policy_defer: handle.intern("policy.defer_termination"),
@@ -273,7 +228,12 @@ impl KernelObs {
             kevent_css_tick: handle.intern("kevent.css-tick"),
             kevent_idb: handle.intern("kevent.idb"),
         };
-        KernelObs { handle, syms }
+        KernelObs {
+            handle,
+            syms,
+            published: counters.map(|(_, value)| value),
+            thread_exited: false,
+        }
     }
 }
 
@@ -283,8 +243,7 @@ pub struct JsKernel {
     engine: PolicyEngine,
     threads: ThreadManager,
     interface: KernelInterface,
-    /// The prediction quanta compiled to flat tables at construction
-    /// (debug-asserted against the interpreted config on every use).
+    /// The prediction quanta compiled to flat tables at construction.
     prediction: CompiledPrediction,
     /// Dense per-thread kernel state, indexed by `ThreadId::index()`.
     /// Browser thread ids are small and densely assigned, so the Vec is a
@@ -294,7 +253,7 @@ pub struct JsKernel {
     /// token → (thread, predicted) for dispatch-time clock advance.
     /// Tokens are kernel-assigned monotonic integers, so the dense
     /// [`TokenTable`] replaces the old hash map on the hot path.
-    token_info: ShadowedTable<(ThreadId, SimTime)>,
+    token_info: TokenTable<(ThreadId, SimTime)>,
     /// Last predicted instant per stream — Listing 3's `predictOnMessage()`:
     /// successive events of a periodic source form a deterministic
     /// arithmetic ladder, so the number that fall into any observation
@@ -304,11 +263,9 @@ pub struct JsKernel {
     stream_last: FastMap<StreamKey, SimTime>,
     /// Fetches owned by workers, as learned from interceptions. Keyed by
     /// the raw `RequestId` (monotonic, kernel-visible).
-    fetch_worker: ShadowedTable<WorkerId>,
-    /// Kernel-space messages observed (protocol statistics / tests).
-    kernel_msgs_seen: u64,
+    fetch_worker: TokenTable<WorkerId>,
     /// Main-side record of announced child fetches (Listing 4 state).
-    pending_child_fetches: ShadowedTable<WorkerId>,
+    pending_child_fetches: TokenTable<WorkerId>,
     /// Workers whose backing browser thread has not been announced yet
     /// (CreateWorker interception precedes the thread spawn).
     pending_bind: std::collections::VecDeque<WorkerId>,
@@ -317,7 +274,6 @@ pub struct JsKernel {
     /// Runtime counters.
     stats: KernelStats,
     /// Attached observer and its pre-interned names.
-    #[cfg(feature = "observe")]
     obs: Option<KernelObs>,
 }
 
@@ -327,7 +283,7 @@ impl std::fmt::Debug for JsKernel {
             .field("deterministic", &self.cfg.deterministic)
             .field("policies", &self.engine.policies().len())
             .field("threads", &self.per_thread.len())
-            .field("kernel_msgs_seen", &self.kernel_msgs_seen)
+            .field("kernel_messages", &self.stats.kernel_messages)
             .finish()
     }
 }
@@ -350,16 +306,14 @@ impl JsKernel {
             interface: KernelInterface::standard(),
             prediction,
             per_thread: Vec::new(),
-            token_info: ShadowedTable::new(),
-            fetch_worker: ShadowedTable::new(),
-            kernel_msgs_seen: 0,
-            pending_child_fetches: ShadowedTable::new(),
+            token_info: TokenTable::new(),
+            fetch_worker: TokenTable::new(),
+            pending_child_fetches: TokenTable::new(),
             pending_bind: std::collections::VecDeque::new(),
             stats: KernelStats::new(),
             stream_last: FastMap::default(),
             checker: cfg.check_invariants.then(InvariantChecker::new),
             cfg,
-            #[cfg(feature = "observe")]
             obs: None,
         }
     }
@@ -369,14 +323,8 @@ impl JsKernel {
     /// and CSS ticks) additionally ride a per-stream ladder so successive
     /// predictions are exactly one quantum apart.
     fn predict(&mut self, info: &AsyncEventInfo) -> SimTime {
-        // Compiled quantum tables: one indexed load per prediction. The
-        // interpreted config stays authoritative in debug builds.
+        // Compiled quantum tables: one indexed load per prediction.
         let quantum = self.prediction.delay_for(&info.kind);
-        debug_assert_eq!(
-            quantum,
-            self.cfg.prediction.delay_for(&info.kind),
-            "compiled prediction table diverged from the interpreted config"
-        );
         // Messages are predicted on the *sender's* kernel clock: Listing 3
         // interposes `JSKernel_WorkerPostMessage` in the sending thread, so
         // the prediction inherits the sender's deterministic timeline and a
@@ -438,7 +386,7 @@ impl JsKernel {
     /// Number of kernel-space overlay messages processed.
     #[must_use]
     pub fn kernel_messages_seen(&self) -> u64 {
-        self.kernel_msgs_seen
+        self.stats.kernel_messages
     }
 
     /// Number of live per-stream prediction ladders (diagnostics/tests).
@@ -496,13 +444,11 @@ impl JsKernel {
         // The dispatch span: zero-width in sim-time (the kernel decides
         // between simulated instants), nested around the drain span below
         // by array order in the export.
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
             o.handle
                 .span_enter(o.syms.dispatch, thread.index(), ctx.now);
         }
         let decision = self.dispatch_inner(ctx, thread, just_confirmed);
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
             o.handle.span_exit(o.syms.dispatch, thread.index(), ctx.now);
         }
@@ -528,7 +474,6 @@ impl JsKernel {
         // every event predicted earlier has had a chance to register —
         // releasing early would let this event overtake an
         // earlier-predicted reply still in flight on another thread.
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
             o.handle
                 .span_enter(o.syms.equeue_drain, thread.index(), now);
@@ -563,7 +508,6 @@ impl JsKernel {
                 }
             }
         };
-        #[cfg(feature = "observe")]
         if self.obs.is_some() {
             let depth = self.tk(thread).equeue.len() as u64;
             if let Some(o) = self.obs.as_ref() {
@@ -573,17 +517,9 @@ impl JsKernel {
         }
         if waited_behind_pending {
             self.stats.withheld_behind_pending += 1;
-            #[cfg(feature = "observe")]
-            if let Some(o) = self.obs.as_ref() {
-                o.handle.counter_add(o.syms.withheld_behind_pending, 1);
-            }
         }
         if deferred {
             self.stats.deferred_to_prediction += 1;
-            #[cfg(feature = "observe")]
-            if let Some(o) = self.obs.as_ref() {
-                o.handle.counter_add(o.syms.deferred_to_prediction, 1);
-            }
         }
         let Some(head) = head else {
             return ConfirmDecision::Withhold;
@@ -607,9 +543,7 @@ impl JsKernel {
         // (§III-D3, "following the time sequence determined by the
         // scheduler").
         self.stats.dispatched += 1;
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
-            o.handle.counter_add(o.syms.dispatched, 1);
             // Dispatch latency: how far past its predicted instant the
             // event was released, in kernel clock ticks.
             let tick = self.cfg.tick_unit.as_nanos().max(1);
@@ -675,11 +609,9 @@ impl JsKernel {
                     e.status = KEventStatus::Cancelled;
                 }
                 self.stats.watchdog_expired += 1;
-                #[cfg(feature = "observe")]
                 if let Some(o) = self.obs.as_ref() {
-                    o.handle.counter_add(o.syms.watchdog_expired, 1);
                     o.handle
-                        .instant(o.syms.watchdog_expired, thread.index(), now);
+                        .instant(o.syms.stats[WATCHDOG_EXPIRED], thread.index(), now);
                 }
                 self.tk(thread).watchdog = None;
                 if debug_enabled() {
@@ -714,7 +646,6 @@ impl JsKernel {
     /// of confirmations into one dispatch sweep per thread. With an
     /// observer attached the sweep still runs — it emits dispatch spans.
     fn dispatch_would_noop(&mut self, thread: ThreadId) -> bool {
-        #[cfg(feature = "observe")]
         if self.obs.is_some() {
             return false;
         }
@@ -744,10 +675,23 @@ impl Mediator for JsKernel {
         "jskernel"
     }
 
-    #[cfg(feature = "observe")]
     fn attach_observer(&mut self, observer: jsk_observe::ObsHandle) {
         // Interns every span/metric name once; the hooks pass symbols only.
-        self.obs = Some(KernelObs::new(observer));
+        self.obs = Some(KernelObs::new(observer, &self.stats));
+    }
+
+    fn publish_metrics(&mut self) {
+        let Some(o) = self.obs.as_mut() else {
+            return;
+        };
+        for (i, (_, value)) in stat_counters(&self.stats).into_iter().enumerate() {
+            let delta = value - o.published[i];
+            if delta > 0 || (i == ORPHANS_REAPED && o.thread_exited) {
+                o.handle.counter_add(o.syms.stats[i], delta);
+            }
+            o.published[i] = value;
+        }
+        o.thread_exited = false;
     }
 
     fn on_thread_started(&mut self, _ctx: &mut MediatorCtx<'_>, thread: ThreadId, is_worker: bool) {
@@ -773,22 +717,20 @@ impl Mediator for JsKernel {
         tk.clock.display().quantize_down(precision)
     }
 
-    fn on_register(&mut self, _ctx: &mut MediatorCtx<'_>, info: &AsyncEventInfo) {
+    fn on_register(&mut self, ctx: &mut MediatorCtx<'_>, info: &AsyncEventInfo) {
         if !self.cfg.deterministic {
             return;
         }
         let predicted = self.predict(info);
         self.stats.registered += 1;
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
-            o.handle.counter_add(o.syms.registered, 1);
             // Open the register→dispatch async span (correlated by token;
             // its width is the event's kernel-mediated latency).
             o.handle.async_begin(
                 o.syms.kevent(info.kind),
                 info.token.index(),
                 info.thread.index(),
-                _ctx.now,
+                ctx.now,
             );
         }
         if debug_enabled() {
@@ -815,10 +757,6 @@ impl Mediator for JsKernel {
             // preserving liveness at the cost of determinism for the
             // overflowing tail.
             self.stats.equeue_overflow += 1;
-            #[cfg(feature = "observe")]
-            if let Some(o) = self.obs.as_ref() {
-                o.handle.counter_add(o.syms.equeue_overflow, 1);
-            }
             return;
         }
         self.token_info
@@ -844,10 +782,6 @@ impl Mediator for JsKernel {
             return ConfirmDecision::InvokeAt(raw_fire);
         }
         self.stats.confirmed += 1;
-        #[cfg(feature = "observe")]
-        if let Some(o) = self.obs.as_ref() {
-            o.handle.counter_add(o.syms.confirmed, 1);
-        }
         let status = self.tk(info.thread).equeue.lookup_mut(info.token).map(|e| {
             if e.status == KEventStatus::Pending {
                 e.status = KEventStatus::Confirmed;
@@ -910,26 +844,20 @@ impl Mediator for JsKernel {
     }
 
     fn on_cancel(&mut self, ctx: &mut MediatorCtx<'_>, token: EventToken) {
-        let Some((thread, _)) = self.token_info.get(token.index()) else {
+        let Some(&(thread, _)) = self.token_info.get(token.index()) else {
             return;
         };
-        #[cfg(feature = "observe")]
         let mut cancelled_kind = None;
         if let Some(e) = self.tk(thread).equeue.lookup_mut(token) {
             // §III-D2: pending or confirmed events are marked cancelled;
             // already-dispatched events ignore the request.
             if e.is_live() {
                 e.status = KEventStatus::Cancelled;
-                #[cfg(feature = "observe")]
-                {
-                    cancelled_kind = Some(e.kind);
-                }
+                cancelled_kind = Some(e.kind);
                 self.stats.cancelled += 1;
             }
         }
-        #[cfg(feature = "observe")]
         if let (Some(kind), Some(o)) = (cancelled_kind, self.obs.as_ref()) {
-            o.handle.counter_add(o.syms.cancelled, 1);
             // A cancelled event's lifecycle span ends at the cancel.
             o.handle
                 .async_end(o.syms.kevent(kind), token.index(), thread.index(), ctx.now);
@@ -1024,11 +952,12 @@ impl Mediator for JsKernel {
                             e.status = KEventStatus::Cancelled;
                         }
                         self.stats.watchdog_expired += 1;
-                        #[cfg(feature = "observe")]
                         if let Some(o) = self.obs.as_ref() {
-                            o.handle.counter_add(o.syms.watchdog_expired, 1);
-                            o.handle
-                                .instant(o.syms.watchdog_expired, thread.index(), ctx.now);
+                            o.handle.instant(
+                                o.syms.stats[WATCHDOG_EXPIRED],
+                                thread.index(),
+                                ctx.now,
+                            );
                         }
                     }
                 }
@@ -1040,11 +969,10 @@ impl Mediator for JsKernel {
         // flight for a reaped event must be dropped, not invoked.
         let reaped = self.tk(thread).equeue.cancel_live();
         self.stats.orphans_reaped += reaped;
-        #[cfg(feature = "observe")]
-        if let Some(o) = self.obs.as_ref() {
-            // Reaped events' async spans are deliberately left open: an
-            // unfinished span in the trace *is* the orphan.
-            o.handle.counter_add(o.syms.orphans_reaped, reaped);
+        // Reaped events' async spans are deliberately left open: an
+        // unfinished span in the trace *is* the orphan.
+        if let Some(o) = self.obs.as_mut() {
+            o.thread_exited = true;
         }
         let tk = self.tk(thread);
         tk.inflight = None;
@@ -1119,14 +1047,11 @@ impl Mediator for JsKernel {
             _ => {}
         }
         self.stats.api_calls += 1;
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
-            o.handle.counter_add(o.syms.api_calls, 1);
             o.handle
                 .span_enter(o.syms.policy_decide, MAIN_THREAD.index(), ctx.now);
         }
         let (outcome, rule) = self.engine.decide(call, &self.threads);
-        #[cfg(feature = "observe")]
         if let Some(o) = self.obs.as_ref() {
             o.handle
                 .span_exit(o.syms.policy_decide, MAIN_THREAD.index(), ctx.now);
@@ -1143,10 +1068,6 @@ impl Mediator for JsKernel {
         if matches!(outcome, ApiOutcome::Deny { .. }) {
             if let Some(r) = rule {
                 self.stats.record_denial(r);
-                #[cfg(feature = "observe")]
-                if let Some(o) = self.obs.as_ref() {
-                    o.handle.counter_add(o.syms.denials, 1);
-                }
             }
         }
         outcome
@@ -1168,12 +1089,7 @@ impl Mediator for JsKernel {
         let Some(msg) = KernelMsg::decode(payload) else {
             return;
         };
-        self.kernel_msgs_seen += 1;
         self.stats.kernel_messages += 1;
-        #[cfg(feature = "observe")]
-        if let Some(o) = self.obs.as_ref() {
-            o.handle.counter_add(o.syms.kernel_messages, 1);
-        }
         // Obligation-carrying messages order the sending task before the
         // receiver's subsequent work; `ctx.node` carries the original
         // sender's HB node (forwarded replies inherit it). ClockSync is

@@ -131,8 +131,7 @@ pub const KIND_SLOTS: usize = 8;
 /// load; the three parameterized kinds (timeout clamp, interval floor,
 /// cached-vs-uncached network) keep a branch-free two-entry table each.
 /// [`delay_for`](Self::delay_for) is pinned to the interpreted
-/// [`PredictionConfig::delay_for`] by a `debug_assert` in the kernel's
-/// prediction path and by an exhaustive equivalence test here.
+/// [`PredictionConfig::delay_for`] by an exhaustive equivalence test here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompiledPrediction {
     /// Quantum per kind discriminant. The Timeout slot holds the shallow
@@ -259,17 +258,26 @@ mod tests {
     }
 
     /// Exhaustive over every discriminant × the parameter grid: the
-    /// compiled tables must agree with the interpreted match everywhere
-    /// (the kernel additionally debug-asserts this per prediction).
+    /// compiled tables must agree with the interpreted match everywhere,
+    /// for the shipped config and for an asymmetric one.
     #[test]
     fn compiled_tables_match_interpreted_delays_exactly() {
+        let shipped = crate::policy::deterministic_policy()
+            .scheduling
+            .expect("deterministic policy has scheduling");
         // A deliberately asymmetric config so no two table entries alias.
-        let p = PredictionConfig {
+        let asymmetric = PredictionConfig {
             timer_min: SimDuration::from_micros(700),
             timer_nested: SimDuration::from_micros(4_100),
             nesting_threshold: 3,
             ..PredictionConfig::default()
         };
+        for p in [shipped, asymmetric] {
+            assert_compiled_matches(&p);
+        }
+    }
+
+    fn assert_compiled_matches(p: &PredictionConfig) {
         let c = p.compile();
         let delays = [
             SimDuration::ZERO,

@@ -191,8 +191,8 @@ impl<V> TokenTable<V> {
         }
     }
 
-    /// Visits every live entry (shadow-path verification and tests only;
-    /// visit order is unspecified and must never feed an output path).
+    /// Visits every live entry (tests only; visit order is unspecified
+    /// and must never feed an output path).
     pub fn for_each(&self, mut f: impl FnMut(u64, &V)) {
         for entry in self.slots.iter().flatten() {
             f(entry.0, &entry.1);

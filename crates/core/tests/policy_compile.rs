@@ -1,14 +1,16 @@
-//! Property tests pitting the compiled policy decision tables against the
-//! interpreted `Condition::matches` reference on arbitrary fact/policy
-//! pairs. The engine's own `debug_assert` re-checks every `decide` call in
-//! test builds; these tests drive the two paths head-to-head over a much
+//! Tests pitting the compiled policy decision tables against the
+//! interpreted `Condition::matches` reference: exhaustively for every
+//! shipped policy set (every input `PolicyEngine::decide` can see on real
+//! traffic), and by property tests on arbitrary fact/policy pairs, a much
 //! wider input space than the shipped policies cover.
 
 use jsk_core::policy::spec::{
     ApiSelector, CallFacts, Condition, PolicyAction, PolicyRule, PolicySpec,
 };
 use jsk_core::policy::PolicyEngine;
+use jsk_core::KernelConfig;
 use proptest::prelude::*;
+use std::path::PathBuf;
 
 const SELECTORS: [ApiSelector; ApiSelector::COUNT] = [
     ApiSelector::CreateWorker,
@@ -180,4 +182,40 @@ fn install_preserves_match_order() {
         engine.decide_compiled(ApiSelector::Navigate, &facts),
         engine.decide_interpreted(ApiSelector::Navigate, &facts)
     );
+}
+
+/// Every shipped policy set — the hardened kernel's, and each
+/// `policies/*.json` file alone — decides identically through the
+/// compiled tables and the interpreted matcher, for every selector and
+/// all 2^15 fact words.
+#[test]
+fn shipped_policies_compile_exactly() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../policies");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("policies/ exists")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 15, "every shipped policy file found");
+    let mut sets = vec![("hardened".to_owned(), KernelConfig::hardened().policies)];
+    for path in files {
+        let body = std::fs::read_to_string(&path).expect("readable policy file");
+        let spec = PolicySpec::from_json(&body).expect("valid policy JSON");
+        sets.push((path.display().to_string(), vec![spec]));
+    }
+    for (name, policies) in sets {
+        let engine = PolicyEngine::new(policies);
+        for bits in 0..1u16 << 15 {
+            let facts = facts_from(bits);
+            for sel in SELECTORS {
+                assert_eq!(
+                    engine.decide_compiled(sel, &facts),
+                    engine.decide_interpreted(sel, &facts),
+                    "{name}: selector {sel:?}, facts {bits:#017b}"
+                );
+            }
+        }
+    }
 }

@@ -111,7 +111,7 @@ pub struct FuzzReport {
     /// Minimized raw-mode findings (novel racy interleavings).
     pub findings: Vec<Finding>,
     /// Minimized kernel-mode failures. Any entry is a kernel bug; the CI
-    /// fuzz-smoke job fails on a non-empty list.
+    /// `smoke (fuzz)` job fails on a non-empty list.
     pub oracle_violations: Vec<Finding>,
 }
 

@@ -34,7 +34,7 @@
 //! The race detector over the **kernel-mode** trace. The kernel's
 //! serialized dispatcher must keep every schedule race-free; a schedule
 //! whose kernel run still races is an *oracle violation* — the CI
-//! fuzz-smoke job fails on any. Raw-mode races that open novel coverage
+//! `smoke (fuzz)` job fails on any. Raw-mode races that open novel coverage
 //! are *findings*: newly discovered attack interleavings, minimized by
 //! delta-debugging ([`fn@minimize`]) and emitted as corpus-entry JSON
 //! ([`Schedule::to_json`](jsk_workloads::schedule::Schedule)) for

@@ -12,7 +12,7 @@
 //! (register → dispatch, correlated by event token) and browser task
 //! spans, whose widths are the simulated costs the attacks measure.
 //!
-//! [`validate`] is the small schema check the CI `observe-smoke` step and
+//! [`validate`] is the small schema check the CI `smoke (observe)` step and
 //! the tests run over emitted files.
 
 use crate::sym::{Interner, Sym};

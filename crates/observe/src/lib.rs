@@ -7,8 +7,8 @@
 //! perturbing it:
 //!
 //! * [`Subscriber`] / [`ObsHandle`] — the hook interface `jsk-core` and
-//!   `jsk-browser` call (behind their `observe` cargo feature) at span,
-//!   instant, and metric sites. Names are [`Sym`]-interned once at attach
+//!   `jsk-browser` call at span, instant, and metric sites once an
+//!   observer is attached. Names are [`Sym`]-interned once at attach
 //!   time; hooks pass integers only.
 //! * [`MetricsRegistry`] / [`MetricsSnapshot`] — counters, gauges, and
 //!   fixed-bucket histograms with deterministic JSON export and

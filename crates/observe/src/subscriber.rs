@@ -1,9 +1,8 @@
 //! The hook interface instrumented code talks to.
 //!
 //! `jsk-core` and `jsk-browser` never see a concrete observer; they hold an
-//! [`ObsHandle`] (a shared, interior-mutable `dyn Subscriber`) behind their
-//! `observe` cargo feature and call these hooks at the instrumentation
-//! points. Each hook takes a pre-interned [`Sym`] plus plain integers —
+//! optional [`ObsHandle`] (a shared, interior-mutable `dyn Subscriber`)
+//! and call these hooks at the instrumentation points. Each hook takes a pre-interned [`Sym`] plus plain integers —
 //! nothing allocates — and timestamps come from the deterministic
 //! simulation clock ([`SimTime`]), never from the host's wall clock, so a
 //! recorded trace is a pure function of the run's seed.

@@ -9,7 +9,7 @@
 //! `JSK_JOBS` (workers; never changes output bytes).
 //!
 //! Exits nonzero on any oracle violation — a schedule that races *under
-//! the kernel* — which is how the CI fuzz-smoke job gates.
+//! the kernel* — which is how the CI `smoke (fuzz)` job gates.
 
 use jsk_fuzz::{run_fuzz, FuzzConfig};
 use std::path::Path;

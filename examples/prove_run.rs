@@ -8,7 +8,7 @@
 //! models, and the depth; `JSK_JOBS` never changes its bytes.
 //!
 //! Exits nonzero on any refuted row — a designated policy that fails to
-//! defeat its pattern within the bound — which is how the CI prove-smoke
+//! defeat its pattern within the bound — which is how the CI `smoke (prove)`
 //! job gates.
 
 use jsk_analyze::prove::{prove_all, prove_depth, Verdict};

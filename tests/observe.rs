@@ -1,11 +1,9 @@
-//! The observability layer's ground-truth checks: the metrics an attached
-//! observer records must reconcile **exactly** with the kernel's own
-//! [`KernelStats`](jskernel::core::stats::KernelStats) — every counter is
-//! bumped at the same program point as its stats field, so any drift is an
-//! instrumentation bug, not noise — and the Perfetto export must be a
-//! valid, deterministic Chrome trace.
-
-#![cfg(feature = "observe")]
+//! The observability layer's ground-truth checks: the kernel publishes
+//! its [`KernelStats`](jskernel::core::stats::KernelStats) counters into
+//! an attached observer whenever a run returns, so the observer's metrics
+//! must reconcile **exactly** with the stats at every harvest, however
+//! the run is split — and the Perfetto export must be a valid,
+//! deterministic Chrome trace.
 
 use jsk_observe::{handle_of, Observer};
 use jskernel::attacks::cve_exploits::Exploit2015_7215;
@@ -30,6 +28,11 @@ fn observed_browser(seed: u64, observer: &Rc<RefCell<Observer>>) -> Browser {
 /// A busy page exercising the full event lifecycle: interval messages,
 /// cross-origin worker XHR (denied), a worker termination (orphans).
 fn busy_page(browser: &mut Browser) {
+    boot_busy_page(browser);
+    browser.run_for(SimDuration::from_millis(200));
+}
+
+fn boot_busy_page(browser: &mut Browser) {
     browser.boot(|scope| {
         let w = scope.create_worker(
             "w.js",
@@ -51,7 +54,6 @@ fn busy_page(browser: &mut Browser) {
         );
         scope.set_timeout(50.0, cb(move |scope, _| scope.terminate_worker(w)));
     });
-    browser.run_for(SimDuration::from_millis(200));
 }
 
 /// Asserts every stats-mirroring counter equals its [`KernelStats`] field.
@@ -129,6 +131,50 @@ fn metrics_reconcile_with_kernel_stats_on_a_busy_page() {
         m.gauges.contains_key("kernel.equeue_depth"),
         "equeue depth gauge recorded"
     );
+}
+
+#[test]
+fn metrics_reconcile_at_every_harvest_of_a_split_run() {
+    // Each run publishes only the growth since the previous one: a split
+    // run harvested between its pieces must neither double count nor lag.
+    let obs = Observer::new().shared();
+    let mut browser = observed_browser(55, &obs);
+    boot_busy_page(&mut browser);
+    for _ in 0..4 {
+        browser.run_for(SimDuration::from_millis(50));
+        assert_reconciles(&browser, &obs);
+    }
+    let whole = Observer::new().shared();
+    busy_page(&mut observed_browser(55, &whole));
+    assert_eq!(
+        obs.borrow().metrics(),
+        whole.borrow().metrics(),
+        "a split run must end on the same metrics as one run"
+    );
+}
+
+#[test]
+fn a_worker_exit_that_reaps_nothing_still_reports_orphans() {
+    let obs = Observer::new().shared();
+    let mut browser = observed_browser(7, &obs);
+    browser.boot(|scope| {
+        let w = scope.create_worker("idle.js", worker_script(|_| {}));
+        scope.set_timeout(10.0, cb(move |scope, _| scope.terminate_worker(w)));
+    });
+    browser.run_for(SimDuration::from_millis(50));
+    let kernel: &JsKernel = browser.mediator_as().expect("kernel installed");
+    assert_eq!(
+        kernel.stats().orphans_reaped,
+        0,
+        "the idle worker owed nothing"
+    );
+    let m = obs.borrow().metrics();
+    assert_eq!(
+        m.counters.get("kernel.orphans_reaped"),
+        Some(&0),
+        "a thread exit publishes the orphan counter even at 0"
+    );
+    assert_reconciles(&browser, &obs);
 }
 
 #[test]
