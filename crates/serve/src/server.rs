@@ -26,7 +26,7 @@ use crate::protocol::DEFAULT_MAX_FRAME;
 use jsk_observe::{render_text, MetricsSnapshot};
 use jsk_shard::serve::{ServeConfig, ShardPool};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Front-door configuration wrapped around the pool's [`ServeConfig`].
 #[derive(Debug, Clone)]
@@ -202,24 +202,20 @@ impl Server {
     /// Cumulative site metrics: every flush's fleet snapshot merged.
     #[must_use]
     pub fn site_metrics(&self) -> MetricsSnapshot {
-        self.shared
-            .lock()
-            .expect("server state")
-            .site_metrics
-            .clone()
+        self.state().site_metrics.clone()
     }
 
     /// The front door's own counters.
     #[must_use]
     pub fn wire_stats(&self) -> WireStats {
-        self.shared.lock().expect("server state").wire
+        self.state().wire
     }
 
     /// Renders the `/metrics`-style page: site metrics and `serve.*`
     /// wire counters in one exposition.
     #[must_use]
     pub fn metrics_page(&self) -> String {
-        let shared = self.shared.lock().expect("server state");
+        let shared = self.state();
         let mut merged = shared.site_metrics.clone();
         merged.merge(&shared.wire.snapshot());
         render_text(&merged)
@@ -227,15 +223,18 @@ impl Server {
 
     /// Folds one flush's fleet metrics into the cumulative view.
     pub(crate) fn merge_site_metrics(&self, snap: &MetricsSnapshot) {
-        self.shared
-            .lock()
-            .expect("server state")
-            .site_metrics
-            .merge(snap);
+        self.state().site_metrics.merge(snap);
     }
 
     /// Mutates the wire counters under the state lock.
     pub(crate) fn with_wire<R>(&self, f: impl FnOnce(&mut WireStats) -> R) -> R {
-        f(&mut self.shared.lock().expect("server state").wire)
+        f(&mut self.state().wire)
+    }
+
+    /// The shared state, recovered if a holder panicked: it is plain
+    /// counters and metric series, valid between any two updates, so one
+    /// panicking connection cannot take `/metrics` or the drain down.
+    fn state(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

@@ -7,10 +7,14 @@
 //!   responses for the next read. No threads, no sockets, no timing —
 //!   every protocol test and the CI smoke run are deterministic.
 //! * [`TcpTransport`] / [`TcpServer`] — `std::net` over
-//!   thread-per-connection with a bounded accept pool. The server polls a
-//!   non-blocking listener so [`TcpServer::shutdown`] can stop accepting,
-//!   drain every live session (deliver queued results, say `bye`), join
-//!   its threads, and hand back the final metrics page.
+//!   thread-per-connection with a bounded accept pool. The accept thread
+//!   blocks in `accept`, so a connection is served the moment it
+//!   arrives; each accept joins the connection threads that have
+//!   finished, so memory stays flat however many connections were
+//!   served. [`TcpServer::shutdown`] begins the drain and dials the
+//!   listener once to wake the accept, then drains every live session
+//!   (delivers queued results, says `bye`), joins its threads, and hands
+//!   back the final metrics page.
 //!
 //! Both feed the identical [`Session`]; the loopback-vs-direct corpus
 //! test is what entitles the TCP path to that trust.
@@ -20,9 +24,10 @@ use crate::server::Server;
 use crate::session::Session;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A client-side connection: write request payloads, read response
@@ -154,17 +159,22 @@ impl ClientConn for TcpConn {
     }
 }
 
-/// How often connection threads and the accept loop poll their flags.
+/// The back-off after a failed `accept` (so a persistent EMFILE cannot
+/// spin the accept thread), and the read timeout on which connection
+/// threads notice a drain. Neither delays a connection or a request:
+/// `accept` and `read` return the moment there is something to return.
 const POLL: Duration = Duration::from_millis(10);
+
+/// Join handles of the connection threads that may still be running.
+type Registry = Arc<Mutex<Vec<JoinHandle<()>>>>;
 
 /// The TCP front door: a bound listener, an accept loop, and a bounded
 /// pool of connection threads.
 pub struct TcpServer {
     server: Arc<Server>,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    accept: Option<JoinHandle<()>>,
+    conns: Registry,
 }
 
 impl TcpServer {
@@ -172,24 +182,20 @@ impl TcpServer {
     /// accepting for `server`.
     pub fn bind(server: Arc<Server>, addr: impl ToSocketAddrs) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Registry::default();
         let live = Arc::new(AtomicUsize::new(0));
 
         let accept = {
             let server = server.clone();
-            let stop = stop.clone();
             let conns = conns.clone();
             std::thread::spawn(move || {
-                accept_loop(&listener, &server, &stop, &conns, &live);
+                accept_loop(&listener, &server, &conns, &live);
             })
         };
         Ok(TcpServer {
             server,
             addr,
-            stop,
             accept: Some(accept),
             conns,
         })
@@ -204,13 +210,20 @@ impl TcpServer {
     /// Graceful drain: stop accepting, finish in-flight work, deliver
     /// queued results and `bye` to every live connection, join all
     /// threads, and return the final metrics page — the flush of record.
+    ///
+    /// The accept thread is blocked in `accept`, so once the drain has
+    /// begun the server dials itself to wake it.
     pub fn shutdown(mut self) -> String {
         self.server.begin_drain();
-        self.stop.store(true, Ordering::Release);
+        // Best-effort: if the accept thread has already left (a drain
+        // begun through `Server::begin_drain` ends it at its next accept),
+        // the dial is refused and nothing waits on it.
+        let _ = TcpStream::connect(wake_addr(self.addr));
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles = std::mem::take(&mut *self.conns.lock().expect("conn registry"));
+        let handles =
+            std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
         for h in handles {
             let _ = h.join();
         }
@@ -218,21 +231,32 @@ impl TcpServer {
     }
 }
 
-/// Polls the non-blocking listener until stopped or draining; spawns one
-/// thread per accepted connection, refusing past the configured bound.
+/// The address that reaches a listener bound to `bound`: the matching
+/// loopback address when it was bound to the unspecified one.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Blocks in `accept` until the server drains; spawns one thread per
+/// accepted connection, refusing past the configured bound. A
+/// connection accepted once the drain has begun (the wake-up dial among
+/// them) is dropped unserved. Accept errors (EMFILE, ECONNABORTED, ...)
+/// never end the loop: it backs off [`POLL`] and accepts again.
 fn accept_loop(
     listener: &TcpListener,
     server: &Arc<Server>,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    conns: &Registry,
     live: &Arc<AtomicUsize>,
 ) {
-    loop {
-        if stop.load(Ordering::Acquire) || server.is_draining() {
-            return;
-        }
+    while !server.is_draining() {
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok(_) if server.is_draining() => return,
+            Ok((mut stream, _)) => {
                 let max = server.config().max_conns;
                 if max > 0 && live.load(Ordering::Acquire) >= max {
                     refuse_busy(stream);
@@ -242,15 +266,32 @@ fn accept_loop(
                 let server = server.clone();
                 let live = live.clone();
                 let handle = std::thread::spawn(move || {
-                    conn_thread(&server, stream);
+                    conn_thread(&server, &mut stream);
+                    // Free the slot before the socket closes, so a client
+                    // that has seen its connection end can reconnect
+                    // without being refused as busy.
                     live.fetch_sub(1, Ordering::AcqRel);
+                    drop(stream);
                 });
-                conns.lock().expect("conn registry").push(handle);
+                let mut conns = conns.lock().unwrap_or_else(PoisonError::into_inner);
+                reap_finished(&mut conns);
+                conns.push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => return,
+            Err(_) => std::thread::sleep(POLL),
+        }
+    }
+}
+
+/// Joins and removes every connection thread that has already returned,
+/// so the registry (and the stacks of joinable threads) stays bounded by
+/// the live connections rather than growing with every one served.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].is_finished() {
+            let _ = conns.swap_remove(i).join();
+        } else {
+            i += 1;
         }
     }
 }
@@ -267,7 +308,7 @@ fn refuse_busy(mut stream: TcpStream) {
 
 /// One connection thread: shuttle bytes between the socket and the
 /// session until the peer leaves, the session dies, or a drain begins.
-fn conn_thread(server: &Arc<Server>, mut stream: TcpStream) {
+fn conn_thread(server: &Arc<Server>, stream: &mut TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
     let mut session = Session::new(server.clone());
@@ -304,6 +345,46 @@ fn conn_thread(server: &Arc<Server>, mut stream: TcpStream) {
                 session.on_close();
                 return;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::server::ServerConfig;
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let tcp = TcpServer::bind(Server::new(ServerConfig::new(1, 1)), "127.0.0.1:0")
+            .expect("bind ephemeral");
+        let transport = TcpTransport::new(tcp.local_addr()).expect("transport");
+        for _ in 0..256 {
+            let mut client = Client::connect(&transport).expect("tcp connect + hello");
+            client.bye().expect("clean close");
+        }
+        // Each accept reaps every thread that has returned; only the last
+        // few connections can still be winding down.
+        let held = tcp.conns.lock().expect("conn registry").len();
+        assert!(
+            held <= 8,
+            "registry holds {held} handles after 256 connections"
+        );
+        tcp.shutdown();
+    }
+
+    #[test]
+    fn wake_addr_dials_loopback_for_unspecified_binds() {
+        let cases = [
+            ("0.0.0.0:7000", "127.0.0.1:7000"),
+            ("[::]:7000", "[::1]:7000"),
+            ("127.0.0.1:7000", "127.0.0.1:7000"),
+            ("[::1]:7000", "[::1]:7000"),
+        ];
+        for (bound, dial) in cases {
+            let bound: SocketAddr = bound.parse().expect("literal");
+            assert_eq!(wake_addr(bound), dial.parse().expect("literal"), "{bound}");
         }
     }
 }
