@@ -44,8 +44,9 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A front door over `shards` kernel shards driven by `workers` OS
-    /// threads, with library defaults: 64-deep connection queues, 1 MiB
+    /// A front door over `shards` kernel shards driven by up to `workers`
+    /// pool workers per flush (the flushing connection's thread is one of
+    /// them), with library defaults: 64-deep connection queues, 1 MiB
     /// frames, 32 concurrent connections.
     #[must_use]
     pub fn new(shards: usize, workers: usize) -> ServerConfig {

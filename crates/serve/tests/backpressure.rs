@@ -168,6 +168,75 @@ fn malformed_frames_kill_the_connection_and_never_the_pool() {
     ));
 }
 
+/// A panicking site job is contained to its own shard: the session gets
+/// `quarantined` frames for that shard's sites, verdicts for the rest,
+/// and its next flush serves normally.
+///
+/// The trigger is the one panic a wire client can reach today: in a debug
+/// build, a `self_post_flood` whose `i * interval_ms` passes `u32::MAX`
+/// overflows inside the schedule runner (a release build wraps instead,
+/// so there is no trigger to test there).
+#[cfg(debug_assertions)]
+#[test]
+fn a_panicking_site_is_quarantined_and_the_session_flushes_on() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let server = Server::new(ServerConfig::new(2, 2));
+        let transport = LoopbackTransport::new(server);
+        let mut client = Client::connect(&transport).unwrap();
+        let mut hostile = tiny_sub("overflow", 1);
+        hostile.schedule = Schedule::from_json(
+            r#"{"name":"overflow","private_mode":false,"run_ms":1,"resources":[],
+               "events":[{"at_ms":0,"op":{"self_post_flood":{"count":3,"interval_ms":2147483648}}}]}"#,
+        )
+        .unwrap();
+        // Sites 0 and 2 home on shard 0 with the hostile one; 1 and 3 on
+        // shard 1.
+        client.submit(&hostile).unwrap();
+        for i in 1..4u64 {
+            client.submit(&tiny_sub(&format!("site-{i}"), i)).unwrap();
+        }
+        let first = client.flush().unwrap();
+        client.submit(&tiny_sub("after", 9)).unwrap();
+        let second = client.flush().unwrap();
+        tx.send((first, second)).unwrap();
+    });
+    let (first, second) = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("flush did not return within 10 s");
+    let code = |r: &Response| match r {
+        Response::Error { code, .. } => code.clone(),
+        Response::Verdict { site, shard, .. } => format!("verdict {site} shard {shard}"),
+        other => format!("{other:?}"),
+    };
+    let codes: Vec<String> = first[..4].iter().map(code).collect();
+    assert_eq!(
+        codes,
+        [
+            "quarantined",
+            "verdict site-1 shard 1",
+            "quarantined",
+            "verdict site-3 shard 1",
+        ]
+    );
+    assert!(matches!(
+        first[4],
+        Response::FlushOk {
+            served: 2,
+            quarantined: 2,
+            ..
+        }
+    ));
+    assert!(matches!(
+        second.last().unwrap(),
+        Response::FlushOk {
+            served: 1,
+            quarantined: 0,
+            ..
+        }
+    ));
+}
+
 /// One step of the interleaving model.
 #[derive(Debug, Clone)]
 enum Op {

@@ -6,14 +6,23 @@
 //! site homed on it (each site run builds its own `JsKernel`, with its
 //! `KernelEventQueue`, `KernelClock`, and policy tables, inside the job),
 //! a FIFO queue of pending sites, and a **virtual timeline** — the
-//! cumulative simulated milliseconds of everything it has served. Shards
-//! are driven by a pool of OS worker threads: worker `w` owns the shards
-//! `s` with `s % workers == w` and may **steal** a pending site from any
-//! other shard when its own lanes drain, unless the fault plan partitions
-//! the victim shard away from the thief's home shard at that virtual
-//! instant. The owner is always allowed to drive its own shard, so a
-//! partition can slow a shard down but never wedge it — the progress
-//! guarantee the chaos matrix leans on.
+//! cumulative simulated milliseconds of everything it has served.
+//!
+//! **Workers.** Each serve drives the shards with `min(workers, queued
+//! sites)` workers, at least one. The calling thread is worker 0 and only
+//! workers `1..` are spawned, so a one-site flush runs on the caller and
+//! spawns nothing. Worker `w` owns the shards `s` with `s % workers == w`
+//! and may **steal** a pending site from any other shard when its own
+//! lanes drain, unless the fault plan partitions the victim shard away
+//! from the thief's home shard at that virtual instant. The owner is
+//! always allowed to drive its own shard, so a partition can slow a shard
+//! down but never wedge it — the progress guarantee the chaos matrix
+//! leans on. All lanes sit behind one scheduler lock: a worker pops a
+//! site and marks its lane busy under the lock, runs the site with the
+//! lock released, and re-takes it to account the attempt, so a lane
+//! still serves one site at a time, in order. A worker with nothing it
+//! may run sleeps on a condvar that every commit, quarantine, and
+//! cancel-drain signals; an idle worker never spins.
 //!
 //! **Determinism.** Every [`SiteReport`] is a pure function of
 //! `(job, shard id, fault plan)`: shards serialize their own sites in
@@ -45,16 +54,19 @@ use jsk_observe::MetricsSnapshot;
 use jsk_sim::fault::{FaultPlan, ShardCrash};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Configuration of a [`ShardPool`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Number of kernel shards (serving lanes). Clamped to at least 1.
     pub shards: usize,
-    /// Number of OS worker threads driving the shards. Clamped to at
-    /// least 1. Worker count never changes any report — only wall-clock.
+    /// Most worker threads driving the shards in one serve, the calling
+    /// thread included; a serve uses at most one per queued site. Clamped
+    /// to at least 1. Worker count never changes any report — only
+    /// wall-clock.
     pub workers: usize,
     /// How many times the supervisor restarts a crashed shard before
     /// quarantining it.
@@ -345,7 +357,7 @@ impl ServeReport {
     }
 }
 
-/// One shard's mutable serving state, behind its lane lock.
+/// One shard's mutable serving state, behind the scheduler lock.
 struct ShardState {
     queue: VecDeque<(usize, SiteJob)>,
     t_ms: u64,
@@ -425,23 +437,14 @@ impl ShardPool {
     /// mid-serve is a teardown — *which* sites finished first depends on
     /// wall-clock, only the accounting invariants are stable.
     #[must_use]
-    pub fn serve_with_cancel(
-        &self,
-        jobs: Vec<SiteJob>,
-        cancel: &std::sync::atomic::AtomicBool,
-    ) -> ServeReport {
+    pub fn serve_with_cancel(&self, jobs: Vec<SiteJob>, cancel: &AtomicBool) -> ServeReport {
         self.serve_inner(jobs, Some(cancel))
     }
 
-    fn serve_inner(
-        &self,
-        jobs: Vec<SiteJob>,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-    ) -> ServeReport {
+    fn serve_inner(&self, jobs: Vec<SiteJob>, cancel: Option<&AtomicBool>) -> ServeReport {
         let n_shards = self.cfg.shards.max(1);
-        let workers = self.cfg.workers.max(1);
         let capacity = self.cfg.admission_capacity;
-        let plan = self.cfg.fault.clone();
+        let plan = self.cfg.fault.as_ref();
 
         let mut states: Vec<ShardState> = (0..n_shards).map(|_| ShardState::new()).collect();
         // Admission: queue each site on its home shard, shedding past the
@@ -468,7 +471,7 @@ impl ShardPool {
             }
         }
         // The crash schedule, sorted onto each shard's timeline.
-        if let Some(p) = &plan {
+        if let Some(p) = plan {
             for c in &p.shard_crashes {
                 if let Some(st) = states.get_mut(c.shard as usize) {
                     st.crashes.push_back(*c);
@@ -479,29 +482,36 @@ impl ShardPool {
             }
         }
 
-        let remaining = AtomicUsize::new(queued);
-        let lanes: Vec<Mutex<ShardState>> = states.into_iter().map(Mutex::new).collect();
+        // The caller is worker 0; a flush never gets more workers than it
+        // has queued sites, so a one-site flush spawns no thread at all.
+        let workers = self.cfg.workers.min(queued).max(1);
+        let sched = Sched {
+            lanes: Mutex::new(Lanes {
+                busy: vec![false; n_shards],
+                states,
+                remaining: queued,
+            }),
+            wake: Condvar::new(),
+            workers,
+            cfg: &self.cfg,
+            cancel,
+        };
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let lanes = &lanes;
-                let remaining = &remaining;
-                let plan = &plan;
-                let cfg = &self.cfg;
-                scope.spawn(move || {
-                    worker_loop(w, workers, lanes, remaining, plan.as_ref(), cfg, cancel);
-                });
+            for w in 1..workers {
+                let sched = &sched;
+                scope.spawn(move || worker_loop(w, sched));
             }
+            worker_loop(0, &sched);
         });
 
         // Finalize: order rows, gossip heartbeats, label the fleet view.
         let mut shards = Vec::with_capacity(n_shards);
         let mut fleet = MetricsSnapshot::default();
-        for (s, lane) in lanes.into_iter().enumerate() {
-            let mut st = lane.into_inner().expect("worker panicked holding a lane");
+        let lanes = sched.lanes.into_inner().expect("scheduler lock");
+        for (s, mut st) in lanes.states.into_iter().enumerate() {
             st.sites.sort_by_key(|(i, _)| *i);
             let neighbour = ((s + 1) % n_shards) as u64;
             let dropped = plan
-                .as_ref()
                 .map(|p| {
                     st.beats
                         .iter()
@@ -544,61 +554,75 @@ impl ShardPool {
     }
 }
 
-/// One worker thread: drive owned shards, steal when dry, stop when every
-/// queued site is accounted for.
-fn worker_loop(
-    w: usize,
+/// One serve's scheduler: every lane behind one lock, and a condvar idle
+/// workers sleep on.
+struct Sched<'a> {
+    lanes: Mutex<Lanes>,
+    /// Signalled on every commit, quarantine, and cancel-drain. No wake-up
+    /// is lost: a sleeper waits only on busy lanes (which signal when they
+    /// commit) or refused steals (whose owner is never refused and signals
+    /// when it commits).
+    wake: Condvar,
     workers: usize,
-    lanes: &[Mutex<ShardState>],
-    remaining: &AtomicUsize,
-    plan: Option<&FaultPlan>,
-    cfg: &ServeConfig,
-    cancel: Option<&std::sync::atomic::AtomicBool>,
-) {
-    let n = lanes.len();
+    cfg: &'a ServeConfig,
+    cancel: Option<&'a AtomicBool>,
+}
+
+/// The state under the scheduler lock.
+struct Lanes {
+    states: Vec<ShardState>,
+    /// `busy[s]`: shard `s` has a site running outside the lock.
+    busy: Vec<bool>,
+    /// Queued sites not yet accounted for; the serve ends at 0.
+    remaining: usize,
+}
+
+impl Sched<'_> {
+    fn lock(&self) -> MutexGuard<'_, Lanes> {
+        self.lanes.lock().expect("scheduler lock")
+    }
+}
+
+/// One worker: drive owned shards, steal when dry, sleep when nothing can
+/// run, stop when every queued site is accounted for.
+fn worker_loop(w: usize, sched: &Sched<'_>) {
+    let plan = sched.cfg.fault.as_ref();
+    let mut lanes = sched.lock();
+    let n = lanes.states.len();
     let home = (w % n) as u64;
-    while remaining.load(Ordering::Acquire) > 0 {
-        let mut progressed = false;
-        for off in 0..n {
-            let s = (w + off) % n;
-            let owned = s % workers == w;
-            let Ok(mut st) = lanes[s].try_lock() else {
-                continue;
-            };
-            if st.quarantined || st.queue.is_empty() {
-                continue;
+    while lanes.remaining > 0 {
+        let cancelled = sched.cancel.is_some_and(|c| c.load(Ordering::Acquire));
+        let pick = (0..n).map(|off| (w + off) % n).find(|&s| {
+            let st = &lanes.states[s];
+            if lanes.busy[s] || st.quarantined || st.queue.is_empty() {
+                return false;
             }
-            let cancelled = cancel.is_some_and(|c| c.load(Ordering::Acquire));
-            if !owned && !cancelled {
-                // A steal moves shard `s`'s work toward this worker's home
-                // shard; a partition of that path at the victim's current
-                // virtual instant refuses it. The owner never takes this
-                // branch, so partitions degrade parallelism, not progress.
-                // Cancellation drains are exempt: writing off a queue is
-                // teardown accounting, not work movement.
-                if plan.is_some_and(|p| p.partitioned(s as u64, home, st.t_ms)) {
-                    continue;
-                }
+            // A steal moves shard `s`'s work toward this worker's home
+            // shard; a partition of that path at the victim's current
+            // virtual instant refuses it. The owner is never refused, so
+            // partitions degrade parallelism, not progress. Cancellation
+            // drains are exempt: writing off a queue is teardown
+            // accounting, not work movement.
+            s % sched.workers == w
+                || cancelled
+                || !plan.is_some_and(|p| p.partitioned(s as u64, home, st.t_ms))
+        });
+        match pick {
+            None => lanes = sched.wake.wait(lanes).expect("scheduler lock"),
+            Some(s) if cancelled => {
+                let consumed = write_off(&mut lanes.states[s], &SiteOutcome::Cancelled);
+                lanes.remaining -= consumed;
+                sched.wake.notify_all();
             }
-            let consumed = if cancelled {
-                drain_cancelled(&mut st)
-            } else {
-                run_one(&mut st, s as u64, cfg)
-            };
-            drop(st);
-            remaining.fetch_sub(consumed, Ordering::AcqRel);
-            progressed = true;
-            break;
-        }
-        if !progressed {
-            std::thread::yield_now();
+            Some(s) => lanes = run_one(lanes, s, sched),
         }
     }
 }
 
-/// Writes off every queued site of one shard during a cancelled serve.
-/// Returns how many queued sites were consumed.
-fn drain_cancelled(st: &mut ShardState) -> usize {
+/// Reports every still-queued site of one shard as `outcome`, never
+/// attempted (a cancelled serve's drain, or a quarantine). Returns how
+/// many were consumed.
+fn write_off(st: &mut ShardState, outcome: &SiteOutcome) -> usize {
     let mut consumed = 0;
     while let Some((j, jb)) = st.queue.pop_front() {
         st.sites.push((
@@ -606,7 +630,7 @@ fn drain_cancelled(st: &mut ShardState) -> usize {
             SiteReport {
                 site: jb.site,
                 seed: jb.seed,
-                outcome: SiteOutcome::Cancelled,
+                outcome: outcome.clone(),
                 attempts: 0,
                 completed_at_ms: 0,
             },
@@ -616,64 +640,75 @@ fn drain_cancelled(st: &mut ShardState) -> usize {
     consumed
 }
 
-/// Runs the next site of one shard, handling crash/restart/quarantine.
-/// Returns how many queued sites were consumed (1, or more when a
-/// quarantine writes off the rest of the queue).
-fn run_one(st: &mut ShardState, shard: u64, cfg: &ServeConfig) -> usize {
-    let (idx, job) = st.queue.pop_front().expect("caller checked non-empty");
+/// Runs the next site of shard `s`, handling crash/restart/quarantine.
+///
+/// The site pops and its lane is marked busy under the lock; the job runs
+/// with the lock released; the lock is re-taken to account the attempt.
+/// The shard's timeline and crash schedule are only touched under the
+/// lock, and a busy lane is never picked, so a lane still serves one site
+/// at a time, in order. A panicking job counts as a crash at the
+/// attempt's start instant.
+fn run_one<'a>(
+    mut lanes: MutexGuard<'a, Lanes>,
+    s: usize,
+    sched: &'a Sched<'_>,
+) -> MutexGuard<'a, Lanes> {
+    let cfg = sched.cfg;
+    let (idx, job) = lanes.states[s]
+        .queue
+        .pop_front()
+        .expect("caller checked non-empty");
+    lanes.busy[s] = true;
     let ctx = SiteCtx {
-        shard,
+        shard: s as u64,
         site: job.site.clone(),
         seed: job.seed,
         fault: cfg.fault.clone(),
     };
     let mut attempts = 0u32;
-    loop {
+    let consumed = loop {
         attempts += 1;
-        let out = (job.run)(&ctx);
-        let end = st.t_ms + out.sim_ms.max(1);
-        if let Some(&c) = st.crashes.front() {
-            if c.at_ms < end {
-                // The shard died mid-attempt. The attempt is discarded
-                // wholly — verdict, metrics, and kernel stats are dropped,
-                // never merged — so the rerun is accounted exactly once.
-                st.crashes.pop_front();
-                if st.restarts >= cfg.max_restarts {
-                    st.quarantined = true;
-                    st.sites.push((
-                        idx,
-                        SiteReport {
-                            site: job.site.clone(),
-                            seed: job.seed,
-                            outcome: SiteOutcome::Quarantined,
-                            attempts,
-                            completed_at_ms: 0,
-                        },
-                    ));
-                    let mut consumed = 1;
-                    while let Some((j, jb)) = st.queue.pop_front() {
-                        st.sites.push((
-                            j,
-                            SiteReport {
-                                site: jb.site,
-                                seed: jb.seed,
-                                outcome: SiteOutcome::Quarantined,
-                                attempts: 0,
-                                completed_at_ms: 0,
-                            },
-                        ));
-                        consumed += 1;
-                    }
-                    return consumed;
+        drop(lanes);
+        let run = catch_unwind(AssertUnwindSafe(|| (job.run)(&ctx)));
+        lanes = sched.lock();
+        let st = &mut lanes.states[s];
+        let crash_at = match &run {
+            // A panic is a crash at the attempt's start instant.
+            Err(_) => Some(st.t_ms),
+            Ok(out) => {
+                let end = st.t_ms + out.sim_ms.max(1);
+                match st.crashes.front() {
+                    Some(c) if c.at_ms < end => st.crashes.pop_front().map(|c| c.at_ms),
+                    _ => None,
                 }
-                st.restarts += 1;
-                let shift = (st.restarts - 1).min(20);
-                let backoff = cfg.restart_backoff_ms.saturating_mul(1u64 << shift);
-                st.t_ms = st.t_ms.max(c.at_ms).saturating_add(backoff);
-                continue;
             }
+        };
+        if let Some(at_ms) = crash_at {
+            // The shard died mid-attempt. The attempt is discarded
+            // wholly — verdict, metrics, and kernel stats are dropped,
+            // never merged — so the rerun is accounted exactly once.
+            if st.restarts >= cfg.max_restarts {
+                st.quarantined = true;
+                st.sites.push((
+                    idx,
+                    SiteReport {
+                        site: job.site.clone(),
+                        seed: job.seed,
+                        outcome: SiteOutcome::Quarantined,
+                        attempts,
+                        completed_at_ms: 0,
+                    },
+                ));
+                break 1 + write_off(st, &SiteOutcome::Quarantined);
+            }
+            st.restarts += 1;
+            let shift = (st.restarts - 1).min(20);
+            let backoff = cfg.restart_backoff_ms.saturating_mul(1u64 << shift);
+            st.t_ms = st.t_ms.max(at_ms).saturating_add(backoff);
+            continue;
         }
-        st.t_ms = end;
+        let out = run.expect("a panicked attempt is a crash");
+        st.t_ms += out.sim_ms.max(1);
         if out.wedged {
             st.wedges += 1;
         }
@@ -693,8 +728,12 @@ fn run_one(st: &mut ShardState, shard: u64, cfg: &ServeConfig) -> usize {
                 completed_at_ms: st.t_ms,
             },
         ));
-        return 1;
-    }
+        break 1;
+    };
+    lanes.busy[s] = false;
+    lanes.remaining -= consumed;
+    sched.wake.notify_all();
+    lanes
 }
 
 #[cfg(test)]
@@ -877,6 +916,168 @@ mod tests {
         assert_eq!(report.totals().0, 1, "the in-flight site finished");
         assert_eq!(report.cancelled(), 5);
         assert_eq!(report.orphans(6), 0);
+    }
+
+    /// Runs `f` on a helper thread and fails the test if it panics or has
+    /// not returned within `secs` — how a lost wake-up or a hung flush
+    /// shows.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(secs))
+            .unwrap_or_else(|e| panic!("serve panicked or hung past {secs} s: {e}"))
+    }
+
+    /// A job that records which thread ran it.
+    fn tracked(site: &str, seen: &Arc<Mutex<Vec<std::thread::ThreadId>>>) -> SiteJob {
+        let seen = seen.clone();
+        let inner = job(site, 1, 1);
+        SiteJob::new(site, 1, move |ctx| {
+            seen.lock().unwrap().push(std::thread::current().id());
+            (inner.run)(ctx)
+        })
+    }
+
+    #[test]
+    fn one_site_serve_runs_on_the_calling_thread() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let report = ShardPool::new(ServeConfig::new(4, 4)).serve(vec![tracked("only", &seen)]);
+        assert_eq!(report.totals().0, 1);
+        assert_eq!(*seen.lock().unwrap(), vec![std::thread::current().id()]);
+    }
+
+    #[test]
+    fn a_serve_runs_on_at_most_one_thread_per_queued_site() {
+        for (workers, sites) in [(3, 2), (2, 8), (8, 3), (1, 5)] {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let list = (0..sites)
+                .map(|i| tracked(&format!("site-{i}"), &seen))
+                .collect();
+            let report = ShardPool::new(ServeConfig::new(4, workers)).serve(list);
+            assert_eq!(report.totals().0, sites as u64);
+            let threads: std::collections::HashSet<_> =
+                seen.lock().unwrap().iter().copied().collect();
+            assert!(
+                threads.len() <= workers.min(sites),
+                "{workers} workers, {sites} sites: ran on {} threads",
+                threads.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_quarantines_its_shard_and_leaves_the_rest_bit_identical() {
+        for workers in [1, 2, 3] {
+            let cfg = ServeConfig::new(3, workers);
+            let reference = ShardPool::new(cfg.clone()).serve(jobs(9, 10));
+            let report = within(10, move || {
+                let mut list = jobs(9, 10);
+                // Site 1 homes on shard 1 and panics on every attempt.
+                list[1] = SiteJob::new("site-1", 101, |_ctx| panic!("site job bug"));
+                ShardPool::new(cfg).serve(list)
+            });
+            let sh = &report.shards[1];
+            assert!(sh.is_quarantined, "{workers} workers");
+            assert_eq!(sh.restarts, 3, "the default budget, then quarantine");
+            assert_eq!(sh.served, 0);
+            assert_eq!(sh.quarantined_sites, 3);
+            assert_eq!(sh.site("site-1").unwrap().attempts, 4);
+            // The panicked attempts' backoff ran on the shard timeline:
+            // 10 + 20 + 40 ms, from the attempts' start instant 0.
+            assert_eq!(sh.virtual_ms, 70);
+            assert_eq!(report.orphans(9), 0);
+            assert_eq!(report.shards[0], reference.shards[0]);
+            assert_eq!(report.shards[2], reference.shards[2]);
+        }
+    }
+
+    #[test]
+    fn concurrent_serves_with_parking_workers_match_the_one_worker_reference() {
+        // Mixed cost: every third site sleeps 0-200 us of wall time, so
+        // idle workers really park, while the plan refuses some steals and
+        // crashes one shard mid-serve.
+        fn list(n: usize) -> Vec<SiteJob> {
+            (0..n)
+                .map(|i| {
+                    let seed = 1_000 + i as u64;
+                    let inner = job(&format!("site-{i}"), seed, 1 + (i as u64 * 7) % 13);
+                    SiteJob::new(inner.site.clone(), seed, move |ctx| {
+                        if i % 3 == 0 {
+                            let us = (seed * 37) % 201;
+                            std::thread::sleep(std::time::Duration::from_micros(us));
+                        }
+                        (inner.run)(ctx)
+                    })
+                })
+                .collect()
+        }
+        let plan = FaultPlan::new(0)
+            .with_partition(1, 0, 0, 1_000_000)
+            .with_partition(2, 1, 0, 40)
+            .with_shard_crash(2, 5);
+        let sizes = [1usize, 3, 5, 8, 13];
+        let reference: Vec<ServeReport> = sizes
+            .iter()
+            .map(|&n| {
+                ShardPool::new(ServeConfig::new(4, 1).with_fault(plan.clone())).serve(list(n))
+            })
+            .collect();
+        assert!(reference[4].totals().3 > 0, "the crash lands");
+        let pool = Arc::new(ShardPool::new(ServeConfig::new(4, 3).with_fault(plan)));
+        within(60, move || {
+            std::thread::scope(|scope| {
+                for t in 0..4 {
+                    let (pool, reference) = (&pool, &reference);
+                    scope.spawn(move || {
+                        for k in 0..100 {
+                            let i = (t + k) % sizes.len();
+                            assert_eq!(pool.serve(list(sizes[i])), reference[i]);
+                        }
+                    });
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn mid_serve_cancel_with_parked_workers_finishes_in_flight() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let cancel = Arc::new(AtomicBool::new(false));
+        let mut list = Vec::new();
+        {
+            let cancel = cancel.clone();
+            list.push(SiteJob::new("slow", 1, move |_ctx| {
+                cancel.store(true, Ordering::Release);
+                // The other workers drain their shards and park on the
+                // busy lane meanwhile.
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                SiteOutput {
+                    defended: Some(true),
+                    detail: "ran".into(),
+                    sim_ms: 1,
+                    wedged: false,
+                    metrics: MetricsSnapshot::default(),
+                }
+            }));
+        }
+        for i in 0..8 {
+            list.push(job(&format!("rest-{i}"), 10 + i, 1));
+        }
+        let report = within(10, move || {
+            ShardPool::new(ServeConfig::new(3, 3)).serve_with_cancel(list, &cancel)
+        });
+        assert_eq!(report.orphans(9), 0);
+        let (served, ..) = report.totals();
+        assert_eq!(served + report.cancelled(), 9);
+        let sh = &report.shards[0];
+        assert!(matches!(
+            sh.site("slow").unwrap().outcome,
+            SiteOutcome::Served { .. }
+        ));
+        // Queued behind the in-flight site on its own lane: written off.
+        for site in ["rest-2", "rest-5"] {
+            assert_eq!(sh.site(site).unwrap().outcome, SiteOutcome::Cancelled);
+        }
     }
 
     #[test]
