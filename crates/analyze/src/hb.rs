@@ -289,7 +289,7 @@ pub fn detect_races(trace: &Trace, graph: &HbGraph) -> Vec<RaceFinding> {
                     continue;
                 }
                 let (first, second) = if a.node <= b.node { (a, b) } else { (b, a) };
-                let key = (first.what.raw(), second.what.raw());
+                let key = (first.what.index(), second.what.index());
                 dedup
                     .entry(key)
                     .and_modify(|f| f.occurrences += 1)

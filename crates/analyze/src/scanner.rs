@@ -241,7 +241,7 @@ pub fn scan(trace: &Trace) -> Vec<PatternFinding> {
                     &mut seen,
                     PatternKind::ErrorLeak,
                     at,
-                    (SIG_API, thread.index(), u64::from(message.raw())),
+                    (SIG_API, thread.index(), u64::from(message.index())),
                     format!(
                         "error event on {thread} embeds cross-origin data: {:?}",
                         trace.resolve(*message)
@@ -271,7 +271,7 @@ pub fn scan(trace: &Trace) -> Vec<PatternFinding> {
                     &mut seen,
                     PatternKind::WorkerSopBypass,
                     at,
-                    (SIG_API, thread.index(), u64::from(url.raw())),
+                    (SIG_API, thread.index(), u64::from(url.index())),
                     format!(
                         "cross-origin XHR from worker {thread} to {:?}",
                         trace.resolve(*url)
@@ -336,7 +336,7 @@ pub fn scan(trace: &Trace) -> Vec<PatternFinding> {
                     &mut seen,
                     PatternKind::ErrorLeak,
                     at,
-                    (SIG_FACT, thread.index(), u64::from(message.raw())),
+                    (SIG_FACT, thread.index(), u64::from(message.index())),
                     format!(
                         "cross-origin error text delivered on {thread}: {:?}",
                         trace.resolve(*message)
@@ -371,7 +371,7 @@ pub fn scan(trace: &Trace) -> Vec<PatternFinding> {
                     &mut seen,
                     PatternKind::WorkerSopBypass,
                     at,
-                    (SIG_FACT, thread.index(), u64::from(url.raw())),
+                    (SIG_FACT, thread.index(), u64::from(url.index())),
                     format!(
                         "cross-origin request left worker {thread} for {:?}",
                         trace.resolve(*url)

@@ -250,10 +250,9 @@ fn dispatch_steady(events: u64) -> (Phase, u64, StatsSnapshot) {
     let mut rng = SimRng::new(0x57EAD);
     let main = ThreadId::new(0);
     let sender = ThreadId::new(1);
-    // Mediator-call buffers recycled across every hook invocation, exactly
-    // as the browser's `med_scratch` does.
+    // The mediator-call op buffer, recycled across every hook invocation
+    // exactly as the browser's `med_scratch` is.
     let mut ops: Vec<MediatorOp> = Vec::new();
-    let mut marks: Vec<u32> = Vec::new();
     let phase = timed("dispatch-steady", || {
         let mut hook_calls = 0u64;
         for i in 0..events {
@@ -278,12 +277,7 @@ fn dispatch_steady(events: u64) -> (Phase, u64, StatsSnapshot) {
                 doc_generation: 0,
                 context: 0,
             };
-            let mut ctx = MediatorCtx::recycled(
-                now,
-                &mut rng,
-                std::mem::take(&mut ops),
-                std::mem::take(&mut marks),
-            );
+            let mut ctx = MediatorCtx::recycled(now, &mut rng, std::mem::take(&mut ops));
             k.on_register(&mut ctx, &info);
             let d = k.on_confirm(&mut ctx, &info, now);
             debug_assert!(
@@ -293,11 +287,7 @@ fn dispatch_steady(events: u64) -> (Phase, u64, StatsSnapshot) {
             k.on_task_dispatched(&mut ctx, main, Some(info.token), 0);
             k.on_tick(&mut ctx, main);
             hook_calls += 4;
-            let (o, m) = ctx.into_parts();
-            ops = o;
-            marks = m;
-            ops.clear();
-            marks.clear();
+            ops = ctx.into_ops();
         }
         black_box(&k);
         hook_calls

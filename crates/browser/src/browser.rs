@@ -361,14 +361,10 @@ pub struct Browser {
     /// Synthetic HB node for browser-initiated teardown work (async worker
     /// teardown has no dispatched task to attribute its frees to).
     hb_synth_node: Option<u64>,
-    /// Recycled mediator-call buffers (op list + batch-mark list), taken
-    /// at the start of every hook invocation and returned once the ops
-    /// are applied — steady-state hooks allocate nothing.
-    med_scratch: Option<(Vec<MediatorOp>, Vec<u32>)>,
-    /// Scratch for the batched same-instant confirmation path.
-    batch_items: Vec<(AsyncEventInfo, SimTime)>,
-    batch_pes: Vec<PendingEvent>,
-    batch_decisions: Vec<ConfirmDecision>,
+    /// Recycled mediator-call op buffer, taken at the start of every hook
+    /// invocation and returned once the ops are applied — steady-state
+    /// hooks allocate nothing.
+    med_scratch: Option<Vec<MediatorOp>>,
     /// Attached observer and its pre-interned names.
     obs: Option<ObsCtx>,
 }
@@ -442,10 +438,7 @@ impl Browser {
             next_node: 0,
             hb_ctx_node: None,
             hb_synth_node: None,
-            med_scratch: Some((Vec::new(), Vec::new())),
-            batch_items: Vec::new(),
-            batch_pes: Vec::new(),
-            batch_decisions: Vec::new(),
+            med_scratch: Some(Vec::new()),
             obs,
         };
         // The mediator gets the same observer so kernel spans, browser
@@ -711,19 +704,18 @@ impl Browser {
         let mut m = self.mediator.take().expect("mediator hook reentrancy");
         let instant = self.current_instant();
         let node = self.hb_current_node();
-        let (ops_buf, marks_buf) = self.med_scratch.take().unwrap_or_default();
-        let (r, mut ops, marks) = {
-            let mut ctx = MediatorCtx::recycled(instant, &mut self.rng_med, ops_buf, marks_buf);
+        let ops_buf = self.med_scratch.take().unwrap_or_default();
+        let (r, mut ops) = {
+            let mut ctx = MediatorCtx::recycled(instant, &mut self.rng_med, ops_buf);
             ctx.node = node;
             let r = f(m.as_mut(), &mut ctx);
-            let (ops, marks) = ctx.into_parts();
-            (r, ops, marks)
+            (r, ctx.into_ops())
         };
         self.mediator = Some(m);
         for op in ops.drain(..) {
             self.apply_op(op);
         }
-        self.med_scratch = Some((ops, marks));
+        self.med_scratch = Some(ops);
         r
     }
 
@@ -986,128 +978,21 @@ impl Browser {
         // Repeating registrations (intervals, media, CSS ticks) re-arm before
         // the current firing is even confirmed, like the real event loop.
         self.maybe_rearm(token, pe.forked_from);
+        let info = pe.info;
         let raw_fire = self.now;
-
-        // Batched confirmation drain: raw triggers that share this exact
-        // virtual instant are settled through one mediator call instead of
-        // one per event. Only *non-periodic* followers may join the batch —
-        // a periodic firing re-arms (a fresh registration) between confirms
-        // on the sequential path, which does not commute with the confirms
-        // before it. Each extra pop consumes a step exactly as the run loop
-        // would have (the loop adds the final +1 for the original event).
-        let mut items = std::mem::take(&mut self.batch_items);
-        let mut pes = std::mem::take(&mut self.batch_pes);
-        items.clear();
-        pes.clear();
-        items.push((pe.info, raw_fire));
-        pes.push(pe);
-        loop {
-            if self.steps + 1 >= self.cfg.step_limit {
-                break;
-            }
-            let tok = match self.events.peek() {
-                Some((t, SimEvent::RawTrigger(tok))) if t == self.now => *tok,
-                _ => break,
-            };
-            if self.is_periodic_firing(tok) {
-                break;
-            }
-            self.events.pop();
-            self.steps += 1;
-            let Some(mut pe) = self.pending.remove(&tok) else {
-                continue; // cancelled follower: consumed, like the run loop
-            };
-            pe.raw_key = None;
-            items.push((pe.info, raw_fire));
-            pes.push(pe);
-        }
-        if items.len() == 1 {
-            let info = items[0].0;
-            let pe = pes.pop().expect("one batched event");
-            let decision = self.with_mediator(|m, ctx| m.on_confirm(ctx, &info, raw_fire));
-            self.settle_confirmed(pe, decision);
-        } else {
-            self.confirm_batched(&items, &mut pes);
-        }
-        items.clear();
-        pes.clear();
-        self.batch_items = items;
-        self.batch_pes = pes;
-    }
-
-    /// Whether `token` is the current firing of a live periodic timer
-    /// (interval / media / CSS tick) — i.e. confirming it would re-arm.
-    fn is_periodic_firing(&self, token: EventToken) -> bool {
-        self.timers
-            .iter()
-            .any(|t| t.current_token == token && !t.cancelled && t.period.is_some())
-    }
-
-    /// Applies one confirmation decision to its pending event, exactly as
-    /// the tail of the sequential `raw_trigger` did.
-    fn settle_confirmed(&mut self, pe: PendingEvent, decision: ConfirmDecision) {
-        match decision {
+        match self.with_mediator(|m, ctx| m.on_confirm(ctx, &info, raw_fire)) {
             ConfirmDecision::InvokeAt(t) => {
                 let at = t.max(self.now);
                 self.invoke_event(pe, at);
             }
             ConfirmDecision::Withhold => {
-                self.withheld.insert(pe.info.token, pe);
+                self.withheld.insert(token, pe);
             }
             ConfirmDecision::Drop => {
                 // The mediator already wrote this event off (e.g. the
                 // watchdog expired it); a late confirmation is discarded.
             }
         }
-    }
-
-    /// Settles a same-instant batch of confirmations through one mediator
-    /// call. The mediator records a mark after each item; ops are applied
-    /// interleaved with the per-item decisions so the observable sequence
-    /// (ops_0, decision_0, ops_1, decision_1, …) is byte-identical to the
-    /// sequential path.
-    fn confirm_batched(
-        &mut self,
-        items: &[(AsyncEventInfo, SimTime)],
-        pes: &mut Vec<PendingEvent>,
-    ) {
-        let mut m = self.mediator.take().expect("mediator hook reentrancy");
-        let instant = self.current_instant();
-        let node = self.hb_current_node();
-        let (ops_buf, marks_buf) = self.med_scratch.take().unwrap_or_default();
-        let mut decisions = std::mem::take(&mut self.batch_decisions);
-        decisions.clear();
-        let (mut ops, mut marks) = {
-            let mut ctx = MediatorCtx::recycled(instant, &mut self.rng_med, ops_buf, marks_buf);
-            ctx.node = node;
-            m.confirm_batch(&mut ctx, items, &mut decisions);
-            ctx.into_parts()
-        };
-        self.mediator = Some(m);
-        debug_assert_eq!(decisions.len(), items.len(), "one decision per item");
-        debug_assert_eq!(marks.len(), items.len(), "one mark per item");
-        let mut op_stream = ops.drain(..);
-        let mut applied: usize = 0;
-        for (i, pe) in pes.drain(..).enumerate() {
-            let mark = marks.get(i).copied().unwrap_or(u32::MAX) as usize;
-            while applied < mark {
-                match op_stream.next() {
-                    Some(op) => {
-                        applied += 1;
-                        self.apply_op(op);
-                    }
-                    None => break,
-                }
-            }
-            self.settle_confirmed(pe, decisions[i]);
-        }
-        for op in op_stream {
-            self.apply_op(op);
-        }
-        marks.clear();
-        self.med_scratch = Some((ops, marks));
-        decisions.clear();
-        self.batch_decisions = decisions;
     }
 
     fn invoke_event(&mut self, pe: PendingEvent, at: SimTime) {
@@ -2486,6 +2371,139 @@ mod tests {
             big > small + 300.0,
             "1 MB over ADSL ≫ default 2 KB: {big} vs {small}"
         );
+    }
+
+    /// Logs every hook it sees and queues one op of each kind from
+    /// `on_confirm`: a release of the event the previous confirmation
+    /// withheld, a tick, and an order edge. Every second confirmation is
+    /// withheld, so decisions and ops interleave.
+    struct BurstMediator {
+        log: std::rc::Rc<std::cell::RefCell<Vec<String>>>,
+        held: Vec<EventToken>,
+        confirms: u64,
+    }
+
+    impl Mediator for BurstMediator {
+        fn name(&self) -> &str {
+            "burst"
+        }
+
+        fn on_register(&mut self, ctx: &mut MediatorCtx<'_>, info: &AsyncEventInfo) {
+            let line = format!("register {} @{}", info.token.index(), ctx.now.as_nanos());
+            self.log.borrow_mut().push(line);
+        }
+
+        fn on_confirm(
+            &mut self,
+            ctx: &mut MediatorCtx<'_>,
+            info: &AsyncEventInfo,
+            raw_fire: SimTime,
+        ) -> ConfirmDecision {
+            self.confirms += 1;
+            let line = format!("confirm {} @{}", info.token.index(), ctx.now.as_nanos());
+            self.log.borrow_mut().push(line);
+            for token in self.held.drain(..) {
+                ctx.release(token, raw_fire);
+            }
+            ctx.schedule_tick(info.thread, raw_fire);
+            ctx.order_edge(
+                self.confirms,
+                self.confirms + 1,
+                crate::trace::EdgeKind::DispatchChain,
+            );
+            if self.confirms.is_multiple_of(2) {
+                self.held.push(info.token);
+                ConfirmDecision::Withhold
+            } else {
+                ConfirmDecision::InvokeAt(raw_fire)
+            }
+        }
+
+        fn on_tick(&mut self, ctx: &mut MediatorCtx<'_>, thread: ThreadId) {
+            let line = format!("tick {} @{}", thread.index(), ctx.now.as_nanos());
+            self.log.borrow_mut().push(line);
+            for token in self.held.drain(..) {
+                ctx.release(token, ctx.now);
+            }
+        }
+
+        fn on_task_dispatched(
+            &mut self,
+            ctx: &mut MediatorCtx<'_>,
+            _thread: ThreadId,
+            token: Option<EventToken>,
+            _context: u32,
+        ) {
+            let token = token.map_or(-1, |t| t.index() as i64);
+            let line = format!("dispatch {token} @{}", ctx.now.as_nanos());
+            self.log.borrow_mut().push(line);
+        }
+    }
+
+    /// FNV-1a, for pinning a long string by fingerprint.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Four one-shot timers and an interval whose raw triggers all land on
+    /// the same virtual instant (timer jitter off, registered outside any
+    /// task). The interval sits in the middle, so its firing both follows
+    /// and precedes one-shot confirmations at that instant. Task order, the
+    /// serialized trace and the mediator's call log are pinned.
+    #[test]
+    fn same_instant_confirm_burst_settles_in_registration_order() {
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let ran = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut cfg = BrowserConfig::new(BrowserProfile::chrome(), 11);
+        cfg.profile.sched.timer_jitter = 0.0;
+        let mediator = BurstMediator {
+            log: log.clone(),
+            held: Vec::new(),
+            confirms: 0,
+        };
+        let mut b = Browser::new(cfg, Box::new(mediator));
+        for (name, repeating) in [
+            ("a", false),
+            ("b", false),
+            ("interval", true),
+            ("c", false),
+            ("d", false),
+        ] {
+            let ran = ran.clone();
+            let callback = cb(move |_, _| ran.borrow_mut().push(name));
+            b.set_timer(MAIN_THREAD, 10.0, callback, repeating, false, false);
+        }
+        b.run_until(SimTime::from_millis(15));
+        assert_eq!(*ran.borrow(), ["a", "b", "interval", "c", "d"]);
+        let expected = [
+            "register 0 @0",
+            "register 1 @0",
+            "register 2 @0",
+            "register 3 @0",
+            "register 4 @0",
+            "confirm 0 @10000000",
+            "confirm 1 @10000000",
+            // The interval re-arms before its own confirmation.
+            "register 5 @10000000",
+            "confirm 2 @10000000",
+            "confirm 3 @10000000",
+            "confirm 4 @10000000",
+            "tick 0 @10000000",
+            "dispatch 0 @10000000",
+            "tick 0 @10000000",
+            "tick 0 @10000000",
+            "tick 0 @10000000",
+            "tick 0 @10000000",
+            "dispatch 1 @10004000",
+            "dispatch 2 @10008000",
+            "dispatch 3 @10012000",
+            "dispatch 4 @10016000",
+        ];
+        assert_eq!(*log.borrow(), expected);
+        let trace = b.trace_json();
+        assert_eq!((trace.len(), fnv1a(&trace)), (1793, 0x4495_acc1_2ad6_ecc7));
     }
 
     #[test]

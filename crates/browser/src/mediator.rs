@@ -151,7 +151,9 @@ pub enum MediatorOp {
     },
 }
 
-/// The restricted view of the browser a mediator hook runs against.
+/// The restricted view of the browser a mediator hook runs against. The
+/// browser builds one per hook call and applies its queued ops, in order,
+/// once the hook returns.
 #[derive(Debug)]
 pub struct MediatorCtx<'a> {
     /// The current raw virtual instant.
@@ -164,9 +166,6 @@ pub struct MediatorCtx<'a> {
     /// outside any task (e.g. boot, machinery ticks).
     pub node: Option<u64>,
     ops: Vec<MediatorOp>,
-    /// Per-item op boundaries written by [`mark`](Self::mark) during
-    /// batched hooks: `marks[i]` is `ops.len()` after batch item `i`.
-    marks: Vec<u32>,
 }
 
 impl<'a> MediatorCtx<'a> {
@@ -178,29 +177,25 @@ impl<'a> MediatorCtx<'a> {
             rng,
             node: None,
             ops: Vec::new(),
-            marks: Vec::new(),
         }
     }
 
-    /// Creates a context reusing previously-returned buffers (see
-    /// [`into_parts`](Self::into_parts)). The steady-state path: the
-    /// browser stashes the buffers between hooks so per-hook contexts
-    /// allocate nothing once warm.
+    /// Creates a context reusing a previously-returned op buffer (see
+    /// [`into_ops`](Self::into_ops)). The steady-state path: the browser
+    /// stashes the buffer between hooks so per-hook contexts allocate
+    /// nothing once warm.
     #[must_use]
     pub fn recycled(
         now: SimTime,
         rng: &'a mut SimRng,
         mut ops: Vec<MediatorOp>,
-        mut marks: Vec<u32>,
     ) -> MediatorCtx<'a> {
         ops.clear();
-        marks.clear();
         MediatorCtx {
             now,
             rng,
             node: None,
             ops,
-            marks,
         }
     }
 
@@ -238,33 +233,11 @@ impl<'a> MediatorCtx<'a> {
         self.ops.push(MediatorOp::OrderEdge { from, to, kind });
     }
 
-    /// Records a batch-item boundary: everything queued since the previous
-    /// mark belongs to the item that just finished. [`Mediator::confirm_batch`]
-    /// implementations call this once per item so the browser can apply
-    /// ops and decisions in exactly the order a sequential run would have.
-    pub fn mark(&mut self) {
-        let len = u32::try_from(self.ops.len()).unwrap_or(u32::MAX);
-        self.marks.push(len);
-    }
-
-    /// Number of ops queued so far (lets batched hooks observe their own
-    /// mark boundaries).
-    #[must_use]
-    pub fn ops_len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Drains the queued operations (browser-internal).
+    /// Drains the queued operations (browser-internal), returning the
+    /// buffer for reuse via [`recycled`](Self::recycled).
     #[must_use]
     pub fn into_ops(self) -> Vec<MediatorOp> {
         self.ops
-    }
-
-    /// Drains the queued operations and the per-item marks, returning both
-    /// buffers for reuse via [`recycled`](Self::recycled).
-    #[must_use]
-    pub fn into_parts(self) -> (Vec<MediatorOp>, Vec<u32>) {
-        (self.ops, self.marks)
     }
 }
 
@@ -341,6 +314,10 @@ pub trait Mediator {
 
     /// The raw browser trigger for `info` fired at `raw_fire`; decide when
     /// (whether) the callback runs.
+    ///
+    /// Called once per raw trigger, in trigger order, including triggers
+    /// that share a virtual instant. The ops this call queues are applied,
+    /// and then its decision, before the next trigger is confirmed.
     fn on_confirm(
         &mut self,
         ctx: &mut MediatorCtx<'_>,
@@ -349,29 +326,6 @@ pub trait Mediator {
     ) -> ConfirmDecision {
         let _ = (ctx, info);
         ConfirmDecision::InvokeAt(raw_fire)
-    }
-
-    /// Several raw triggers fired at the same virtual instant: settle them
-    /// in one pass, pushing one [`ConfirmDecision`] per item into `out` (in
-    /// item order) and calling [`MediatorCtx::mark`] after each item so the
-    /// browser can interleave op application with decision application
-    /// exactly as a sequential run of [`on_confirm`](Self::on_confirm)
-    /// would have.
-    ///
-    /// The default forwards to `on_confirm` per item — correct for every
-    /// mediator by construction. Kernel mediators override this to settle
-    /// the whole batch against their per-thread queues in a single sweep.
-    fn confirm_batch(
-        &mut self,
-        ctx: &mut MediatorCtx<'_>,
-        items: &[(AsyncEventInfo, SimTime)],
-        out: &mut Vec<ConfirmDecision>,
-    ) {
-        for (info, raw_fire) in items {
-            let d = self.on_confirm(ctx, info, *raw_fire);
-            out.push(d);
-            ctx.mark();
-        }
     }
 
     /// A registered event was cancelled by user space (`clearTimeout`,
@@ -523,49 +477,12 @@ mod tests {
         let mut rng = SimRng::new(0);
         let mut ctx = MediatorCtx::new(SimTime::ZERO, &mut rng);
         ctx.release(EventToken::new(1), SimTime::from_millis(1));
-        ctx.mark();
-        let (ops, marks) = ctx.into_parts();
+        let ops = ctx.into_ops();
         assert_eq!(ops.len(), 1);
-        assert_eq!(marks, vec![1]);
         let cap = ops.capacity();
-        let ctx = MediatorCtx::recycled(SimTime::from_millis(9), &mut rng, ops, marks);
-        assert_eq!(ctx.ops_len(), 0, "recycled ctx starts empty");
-        let (ops, marks) = ctx.into_parts();
-        assert!(marks.is_empty());
+        let ctx = MediatorCtx::recycled(SimTime::from_millis(9), &mut rng, ops);
+        let ops = ctx.into_ops();
+        assert!(ops.is_empty(), "recycled ctx starts empty");
         assert_eq!(ops.capacity(), cap, "capacity survives recycling");
-    }
-
-    fn raf_info(token: u64) -> AsyncEventInfo {
-        AsyncEventInfo {
-            token: EventToken::new(token),
-            thread: ThreadId::new(0),
-            kind: AsyncKind::Raf,
-            registered_at: SimTime::ZERO,
-            doc_generation: 0,
-            context: 0,
-        }
-    }
-
-    #[test]
-    fn default_confirm_batch_forwards_per_item_and_marks_boundaries() {
-        let mut m = LegacyMediator;
-        let mut rng = SimRng::new(0);
-        let mut ctx = MediatorCtx::new(SimTime::from_millis(3), &mut rng);
-        let items = vec![
-            (raf_info(1), SimTime::from_millis(3)),
-            (raf_info(2), SimTime::from_millis(3)),
-        ];
-        let mut out = Vec::new();
-        m.confirm_batch(&mut ctx, &items, &mut out);
-        assert_eq!(
-            out,
-            vec![
-                ConfirmDecision::InvokeAt(SimTime::from_millis(3)),
-                ConfirmDecision::InvokeAt(SimTime::from_millis(3)),
-            ]
-        );
-        let (ops, marks) = ctx.into_parts();
-        assert!(ops.is_empty(), "legacy confirms queue no ops");
-        assert_eq!(marks, vec![0, 0], "one boundary per item");
     }
 }

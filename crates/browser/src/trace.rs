@@ -16,111 +16,17 @@
 
 use crate::ids::{BufferId, NodeId, RequestId, SabId, ThreadId, WorkerId};
 use jsk_sim::time::SimTime;
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::HashMap;
+use serde::{Deserialize, Serialize};
 
-/// An interned string: an index into the owning [`Trace`]'s string table.
-///
-/// Trace records are hot-path appends — one per intercepted API call, fact,
-/// task node, and shared-state access — so they store string payloads (URLs,
-/// script names, error messages, call-site labels) as symbols instead of
-/// owned `String`s. Interning makes every record `Copy` (appending never
-/// allocates for a string the trace has seen before) and lets analysis
-/// passes key dedup maps on a `u32` instead of cloning strings.
-///
-/// A symbol is only meaningful together with the [`Interner`] that issued
-/// it; resolve through [`Trace::resolve`] (or [`Interner::resolve`]).
-/// Serializes as its raw index; the table travels with the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Sym(u32);
-
-impl Sym {
-    /// The raw table index, for keying maps on an integer.
-    #[must_use]
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-}
-
-/// A deterministic string table: the first occurrence of each distinct
-/// string gets the next index, so identical record sequences always produce
-/// identical symbol assignments (and thus byte-identical serialized traces)
+/// Trace records are hot-path appends — one per intercepted API call,
+/// fact, task node, and shared-state access — so they store string
+/// payloads (URLs, script names, error messages, call-site labels) as
+/// [`Sym`]s into the owning [`Trace`]'s string table instead of owned
+/// `String`s. Interning makes every record `Copy` and lets analysis passes
+/// key dedup maps on a `u32`. The table hands out indices in first-occurrence
+/// order, so identical record sequences serialize byte-identically
 /// regardless of how many analysis jobs run concurrently.
-#[derive(Debug, Clone, Default)]
-pub struct Interner {
-    strings: Vec<String>,
-    index: HashMap<String, u32>,
-}
-
-impl Interner {
-    /// Creates an empty interner.
-    #[must_use]
-    pub fn new() -> Interner {
-        Interner::default()
-    }
-
-    /// Returns the symbol for `s`, interning it on first sight.
-    pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&i) = self.index.get(s) {
-            return Sym(i);
-        }
-        let i = u32::try_from(self.strings.len()).expect("interner overflow: > u32::MAX strings");
-        self.strings.push(s.to_owned());
-        self.index.insert(s.to_owned(), i);
-        Sym(i)
-    }
-
-    /// The string behind a symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the symbol came from a different interner (index out of
-    /// range). A foreign symbol with an in-range index resolves to the
-    /// wrong string — symbols are only meaningful with their own table.
-    #[must_use]
-    pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym.0 as usize]
-    }
-
-    /// Number of distinct interned strings.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Whether no strings have been interned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-}
-
-/// Two interners are equal when their tables match; the lookup index is
-/// derived state.
-impl PartialEq for Interner {
-    fn eq(&self, other: &Interner) -> bool {
-        self.strings == other.strings
-    }
-}
-
-/// Serializes as the bare string table (the index is rebuilt on read).
-impl Serialize for Interner {
-    fn to_value(&self) -> Value {
-        self.strings.to_value()
-    }
-}
-
-impl Deserialize for Interner {
-    fn from_value(v: &Value) -> Result<Interner, DeError> {
-        let strings = Vec::<String>::from_value(v)?;
-        let index = strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), u32::try_from(i).expect("interner overflow")))
-            .collect();
-        Ok(Interner { strings, index })
-    }
-}
+pub use jsk_observe::sym::{Interner, Sym};
 
 /// Which API produced an error message (disambiguates the two error-leak
 /// CVEs, 2014-1487 vs 2015-7215).

@@ -639,19 +639,6 @@ impl JsKernel {
             .map_or(&[], InvariantChecker::violations)
     }
 
-    /// Whether a confirm-triggered dispatch sweep would be a no-op: the
-    /// thread already has an inflight event, so the dispatcher would
-    /// return [`ConfirmDecision::Withhold`] before touching any counter
-    /// or emitting any op. Skipping the call turns a same-instant burst
-    /// of confirmations into one dispatch sweep per thread. With an
-    /// observer attached the sweep still runs — it emits dispatch spans.
-    fn dispatch_would_noop(&mut self, thread: ThreadId) -> bool {
-        if self.obs.is_some() {
-            return false;
-        }
-        self.tk(thread).inflight.is_some()
-    }
-
     fn settle_fetch(&mut self, ctx: &mut MediatorCtx<'_>, req: RequestId) {
         self.threads.settle_fetch(req);
         self.pending_child_fetches.remove(req.index());
@@ -794,21 +781,13 @@ impl Mediator for JsKernel {
                 // orphan reap, or an explicit cancel). The late confirmation
                 // must not resurrect it: drop it outright, and re-drain in
                 // case the cancelled head was the blockage.
-                if !self.dispatch_would_noop(info.thread) {
-                    let _ = self.dispatch(ctx, info.thread, None);
-                }
+                let _ = self.dispatch(ctx, info.thread, None);
                 ConfirmDecision::Drop
             }
-            Some(_) => {
-                if self.dispatch_would_noop(info.thread) {
-                    // A confirmation behind an inflight head settles its
-                    // status only; the single sweep after that task's body
-                    // runs releases the whole backlog in predicted order.
-                    ConfirmDecision::Withhold
-                } else {
-                    self.dispatch(ctx, info.thread, Some(info.token))
-                }
-            }
+            // Behind an inflight head the dispatcher withholds: the single
+            // sweep after that task's body runs releases the backlog in
+            // predicted order.
+            Some(_) => self.dispatch(ctx, info.thread, Some(info.token)),
             None => {
                 if self.token_info.remove(info.token.index()).is_some() {
                     // Tracked, but no longer queued: the kernel disposed of
@@ -820,26 +799,6 @@ impl Mediator for JsKernel {
                     ConfirmDecision::InvokeAt(raw_fire)
                 }
             }
-        }
-    }
-
-    fn confirm_batch(
-        &mut self,
-        ctx: &mut MediatorCtx<'_>,
-        items: &[(AsyncEventInfo, SimTime)],
-        out: &mut Vec<ConfirmDecision>,
-    ) {
-        // Same-virtual-tick confirmations settle in one pass. Each item
-        // runs the full per-event settle logic, but once a thread has an
-        // inflight release the `dispatch_would_noop` short-circuit skips
-        // the per-item dispatch sweep — the batch costs one sweep per
-        // thread instead of one per confirmation. Op boundaries are marked
-        // after every item so the browser can interleave ops and decisions
-        // exactly as the sequential path would have.
-        for (info, raw_fire) in items {
-            let d = self.on_confirm(ctx, info, *raw_fire);
-            out.push(d);
-            ctx.mark();
         }
     }
 

@@ -73,6 +73,14 @@ impl KernelStats {
         }
         self.withheld_behind_pending as f64 / self.confirmed as f64
     }
+
+    /// Whether the run wedged and graceful degradation had to step in: the
+    /// watchdog expired a blocked head, a dead thread's events were
+    /// reaped, or a full event queue refused a registration.
+    #[must_use]
+    pub fn wedged(&self) -> bool {
+        self.watchdog_expired > 0 || self.orphans_reaped > 0 || self.equeue_overflow > 0
+    }
 }
 
 /// A flat, mergeable summary of [`KernelStats`] sized for throughput
@@ -193,6 +201,20 @@ mod tests {
         s.record_denial("rule-b");
         assert_eq!(s.total_denials(), 3);
         assert_eq!(s.denials.get("rule-a"), Some(&2));
+    }
+
+    #[test]
+    fn any_degradation_counter_means_wedged() {
+        assert!(!KernelStats::new().wedged());
+        for bump in [
+            |s: &mut KernelStats| s.watchdog_expired = 1,
+            |s: &mut KernelStats| s.orphans_reaped = 1,
+            |s: &mut KernelStats| s.equeue_overflow = 1,
+        ] {
+            let mut s = KernelStats::new();
+            bump(&mut s);
+            assert!(s.wedged(), "{s:?}");
+        }
     }
 
     #[test]

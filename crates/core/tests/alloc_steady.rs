@@ -3,8 +3,8 @@
 //! A counting global allocator wraps `System`; the test warms a live
 //! [`JsKernel`] through enough full register → confirm → dispatch →
 //! post-task-tick cycles that every structure on the path has reached its
-//! steady footprint (equeue ring, token table, stream ladders, recycled
-//! mediator-op buffers), then asserts the allocator counter does not move
+//! steady footprint (equeue ring, token table, stream ladders, the
+//! recycled mediator-op buffer), then asserts the allocator counter does not move
 //! across a long run of further events: **zero heap allocations per
 //! steady-state kernel event**.
 //!
@@ -56,10 +56,10 @@ fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// One full kernel event lifecycle through the mediator hooks, with
-/// recycled op buffers — the same loop the `dispatch-steady` bench phase
+/// One full kernel event lifecycle through the mediator hooks, with a
+/// recycled op buffer — the same loop the `dispatch-steady` bench phase
 /// times.
-fn drive(k: &mut JsKernel, rng: &mut SimRng, buffers: &mut (Vec<MediatorOp>, Vec<u32>), i: u64) {
+fn drive(k: &mut JsKernel, rng: &mut SimRng, ops: &mut Vec<MediatorOp>, i: u64) {
     let main = ThreadId::new(0);
     let now = SimTime::from_millis(25 * (i + 1));
     let kind = match i % 4 {
@@ -81,8 +81,7 @@ fn drive(k: &mut JsKernel, rng: &mut SimRng, buffers: &mut (Vec<MediatorOp>, Vec
         doc_generation: 0,
         context: 0,
     };
-    let (ops, marks) = std::mem::take(buffers);
-    let mut ctx = MediatorCtx::recycled(now, rng, ops, marks);
+    let mut ctx = MediatorCtx::recycled(now, rng, std::mem::take(ops));
     k.on_register(&mut ctx, &info);
     let d = k.on_confirm(&mut ctx, &info, now);
     assert!(
@@ -91,10 +90,7 @@ fn drive(k: &mut JsKernel, rng: &mut SimRng, buffers: &mut (Vec<MediatorOp>, Vec
     );
     k.on_task_dispatched(&mut ctx, main, Some(info.token), 0);
     k.on_tick(&mut ctx, main);
-    let (mut ops, mut marks) = ctx.into_parts();
-    ops.clear();
-    marks.clear();
-    *buffers = (ops, marks);
+    *ops = ctx.into_ops();
 }
 
 #[test]
@@ -104,15 +100,15 @@ fn steady_state_events_allocate_nothing() {
 
     let mut k = JsKernel::default();
     let mut rng = SimRng::new(0x57EAD);
-    let mut buffers = (Vec::new(), Vec::new());
+    let mut ops = Vec::new();
 
     for i in 0..WARMUP {
-        drive(&mut k, &mut rng, &mut buffers, i);
+        drive(&mut k, &mut rng, &mut ops, i);
     }
 
     let before = allocations();
     for i in WARMUP..WARMUP + MEASURED {
-        drive(&mut k, &mut rng, &mut buffers, i);
+        drive(&mut k, &mut rng, &mut ops, i);
     }
     let delta = allocations() - before;
 

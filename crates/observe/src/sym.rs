@@ -4,19 +4,25 @@
 //! `u32` index into an [`Interner`] owned by the subscriber. Instrumented
 //! code interns each name **once** (at attach time) and then passes the
 //! copyable `Sym` on every hook call, so the hot path never hashes a
-//! string or allocates. The design mirrors `jsk_browser::trace::Interner`,
-//! but lives here so the observability layer sits *below* the browser in
-//! the crate graph and can be depended on by any layer.
+//! string or allocates. The browser's trace string table is the same type
+//! (re-exported as `jsk_browser::trace::Interner`); the interner lives
+//! here so the observability layer sits *below* the browser in the crate
+//! graph and can be depended on by any layer.
 //!
 //! Symbols are handed out in first-intern order, which is itself
 //! deterministic (instrumented code interns its names in a fixed order at
-//! attach time), so exports keyed by symbol index are bit-identical across
-//! runs and `JSK_JOBS` settings.
+//! attach time, and identical trace record sequences intern identical
+//! strings), so exports and serialized traces keyed by symbol index are
+//! bit-identical across runs and `JSK_JOBS` settings.
 
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 
 /// An interned name: a cheap, copyable index into an [`Interner`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// A symbol is only meaningful together with the interner that issued it.
+/// Serializes as its raw index; the table travels alongside.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Sym(u32);
 
 impl Sym {
@@ -56,7 +62,9 @@ impl Interner {
     /// The string behind a symbol.
     ///
     /// # Panics
-    /// Panics if `sym` was not produced by this interner.
+    /// Panics if `sym` was not produced by this interner (index out of
+    /// range). A foreign symbol with an in-range index resolves to the
+    /// wrong string.
     #[must_use]
     pub fn resolve(&self, sym: Sym) -> &str {
         &self.strings[sym.0 as usize]
@@ -72,6 +80,33 @@ impl Interner {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
+    }
+}
+
+/// Two interners are equal when their tables match; the lookup index is
+/// derived state.
+impl PartialEq for Interner {
+    fn eq(&self, other: &Interner) -> bool {
+        self.strings == other.strings
+    }
+}
+
+/// Serializes as the bare string table (the index is rebuilt on read).
+impl Serialize for Interner {
+    fn to_value(&self) -> Value {
+        self.strings.to_value()
+    }
+}
+
+impl Deserialize for Interner {
+    fn from_value(v: &Value) -> Result<Interner, DeError> {
+        let strings = Vec::<String>::from_value(v)?;
+        let index = strings
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.clone(), u32::try_from(i).expect("interner overflow")))
+            .collect();
+        Ok(Interner { strings, index })
     }
 }
 

@@ -146,11 +146,7 @@ fn run_submission(policy: &str, schedule: &Schedule, ctx: &SiteCtx) -> SiteOutpu
     let sim_ms = browser.now().as_nanos() / 1_000_000;
     let wedged = browser
         .mediator_as::<JsKernel>()
-        .map(|k| {
-            let s = k.stats();
-            s.watchdog_expired + s.orphans_reaped + s.equeue_overflow > 0
-        })
-        .unwrap_or(false);
+        .is_some_and(|k| k.stats().wedged());
     let metrics = shared
         .borrow()
         .metrics()

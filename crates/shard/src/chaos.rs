@@ -278,11 +278,7 @@ fn harvest(browser: &Browser) -> (u64, bool) {
     let sim_ms = browser.now().as_nanos() / 1_000_000;
     let wedged = browser
         .mediator_as::<JsKernel>()
-        .map(|k| {
-            let s = k.stats();
-            s.watchdog_expired + s.orphans_reaped + s.equeue_overflow > 0
-        })
-        .unwrap_or(false);
+        .is_some_and(|k| k.stats().wedged());
     (sim_ms, wedged)
 }
 

@@ -149,8 +149,10 @@ pub struct SiteOutput {
     /// Virtual milliseconds the run consumed — advances the shard's
     /// timeline (clamped to at least 1 so timelines always progress).
     pub sim_ms: u64,
-    /// Whether the run wedged and was rescued by graceful degradation
-    /// (kernel watchdog expiries or a tripped step limit).
+    /// Whether the run wedged and was rescued by graceful degradation, as
+    /// [`KernelStats::wedged`](jsk_core::stats::KernelStats::wedged)
+    /// reports it (watchdog expiries, orphan reaps or event-queue
+    /// overflows).
     pub wedged: bool,
     /// The site's own (unlabelled) metrics snapshot; the shard merges it,
     /// the fleet view labels it by shard id.

@@ -177,18 +177,6 @@ impl<T> TimeQueue<T> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// The earliest live entry — instant and a borrow of its payload —
-    /// without removing it. Lets a caller decide whether to consume the
-    /// head (e.g. to coalesce same-instant entries into one batch) while
-    /// keeping the entry's position, and therefore FIFO tie-breaking,
-    /// intact: a pop-inspect-re-push round trip would assign a fresh
-    /// sequence number and reorder same-instant peers.
-    #[must_use]
-    pub fn peek(&mut self) -> Option<(SimTime, &T)> {
-        self.prune();
-        self.heap.peek().map(|e| (e.time, &e.value))
-    }
-
     /// Discards cancelled entries sitting at the top of the heap.
     fn prune(&mut self) {
         while let Some(top) = self.heap.peek() {
@@ -288,21 +276,6 @@ mod tests {
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(ms(5)));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn peek_exposes_head_value_without_consuming() {
-        let mut q = TimeQueue::new();
-        let a = q.push(ms(2), "a");
-        q.push(ms(2), "b");
-        assert_eq!(q.peek(), Some((ms(2), &"a")));
-        assert_eq!(q.len(), 2, "peek must not consume");
-        q.cancel(a);
-        assert_eq!(q.peek(), Some((ms(2), &"b")), "peek skips cancelled head");
-        // FIFO order survives peeking: b still pops before later pushes.
-        q.push(ms(2), "c");
-        assert_eq!(q.pop().unwrap().value, "b");
-        assert_eq!(q.pop().unwrap().value, "c");
     }
 
     #[test]
