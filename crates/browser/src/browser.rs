@@ -33,10 +33,12 @@ use crate::worker::{
     BufferRecord, RequestRecord, RequestState, SharedBuffer, SignalRecord, WorkerRecord,
     WorkerState,
 };
+use jsk_sim::fasthash::FastMap;
 use jsk_sim::fault::{ConfirmFate, FaultInjector, FaultPlan, FaultStats, MessageFate};
 use jsk_sim::queue::{QueueKey, TimeQueue};
 use jsk_sim::rng::SimRng;
 use jsk_sim::time::{SimDuration, SimTime};
+use jsk_sim::token_table::TokenTable;
 use std::collections::{BTreeMap, HashMap};
 
 /// Configuration of one browser instance.
@@ -295,6 +297,7 @@ pub(crate) struct CurTask {
     /// The task's happens-before node id.
     pub node: u64,
     /// Per-task SAB read snapshots (kernel-frozen reads, §III-E2).
+    /// Keyed by cell indices a schedule chooses, so it stays on SipHash.
     pub sab_seen: HashMap<(u64, usize), f64>,
 }
 
@@ -321,12 +324,18 @@ pub struct Browser {
     /// counting worker increments in a tight loop; the DES models that
     /// continuous process analytically so intra-task reads observe the
     /// value as of the *current virtual instant* (a discrete task could
-    /// never interleave with it).
+    /// never interleave with it). Keyed by cell indices a schedule
+    /// chooses, so it stays on SipHash.
     sab_counters: HashMap<(u64, usize), (SimTime, SimDuration)>,
     timers: Vec<TimerRecord>,
-    pending: HashMap<EventToken, PendingEvent>,
-    withheld: HashMap<EventToken, PendingEvent>,
-    raf_tokens: HashMap<u64, EventToken>,
+    /// Registered events awaiting their raw trigger, and confirmed events
+    /// the mediator is holding back. Tokens are browser-assigned, so the
+    /// maps use the integer hasher; [`Browser::cancel_doc_bound`] iterates
+    /// them and sorts what it collects.
+    pending: FastMap<EventToken, PendingEvent>,
+    withheld: FastMap<EventToken, PendingEvent>,
+    /// Live animation-frame id → its event token (point lookups only).
+    raf_tokens: TokenTable<EventToken>,
     next_token: u64,
     next_raf: u64,
     mediator: Option<Box<dyn Mediator>>,
@@ -344,11 +353,13 @@ pub struct Browser {
     steps: u64,
     idb: Vec<IdbRecord>,
     thread_epochs: Vec<u64>,
-    worker_scripts: HashMap<WorkerId, WorkerScript>,
-    request_tokens: HashMap<RequestId, EventToken>,
+    /// Scripts of spawned workers that have not started yet, by worker id.
+    worker_scripts: TokenTable<WorkerScript>,
+    /// Request id → the event token of its completion callback.
+    request_tokens: TokenTable<EventToken>,
     /// Last delivery instant per (from, to) message channel — `postMessage`
     /// channels are FIFO, so later sends never overtake earlier ones.
-    channel_last: HashMap<(u64, u64), SimTime>,
+    channel_last: FastMap<(u64, u64), SimTime>,
     /// Fault injector, when a plan is installed.
     pub(crate) fault: Option<FaultInjector>,
     /// Skew applied to raw clock reads, when the plan targets our shard.
@@ -414,9 +425,9 @@ impl Browser {
             sabs: Vec::new(),
             sab_counters: HashMap::new(),
             timers: Vec::new(),
-            pending: HashMap::new(),
-            withheld: HashMap::new(),
-            raf_tokens: HashMap::new(),
+            pending: FastMap::default(),
+            withheld: FastMap::default(),
+            raf_tokens: TokenTable::new(),
             next_token: 0,
             next_raf: 0,
             mediator: Some(mediator),
@@ -430,9 +441,9 @@ impl Browser {
             steps: 0,
             idb: Vec::new(),
             thread_epochs: vec![0],
-            worker_scripts: HashMap::new(),
-            request_tokens: HashMap::new(),
-            channel_last: HashMap::new(),
+            worker_scripts: TokenTable::new(),
+            request_tokens: TokenTable::new(),
+            channel_last: FastMap::default(),
             fault,
             raw_skew,
             next_node: 0,
@@ -1323,7 +1334,7 @@ impl Browser {
     }
 
     pub(crate) fn cancel_raf(&mut self, id: crate::ids::RafId) {
-        if let Some(token) = self.raf_tokens.remove(&id.index()) {
+        if let Some(token) = self.raf_tokens.remove(id.index()) {
             self.cancel_event(token);
         }
     }
@@ -1439,7 +1450,7 @@ impl Browser {
         let start_at = self.current_instant() + spawn;
         self.events.push(start_at, SimEvent::WorkerStart(wid));
         // Stash the script to run at start.
-        self.worker_scripts.insert(wid, script);
+        self.worker_scripts.insert(wid.index(), script);
         wid
     }
 
@@ -1460,7 +1471,7 @@ impl Browser {
         if self.workers[i].state != WorkerState::Started {
             return;
         }
-        let Some(script) = self.worker_scripts.remove(&wid) else {
+        let Some(script) = self.worker_scripts.remove(wid.index()) else {
             return;
         };
         let thread = self.workers[i].thread;
@@ -1952,7 +1963,7 @@ impl Browser {
         // `pending`/`withheld` are hash maps, so the collected order above
         // is arbitrary; cancel in token order or the mediator's release
         // decisions (and dispatch-latency accounting) become a function of
-        // hash-seed state.
+        // the tables' bucket layout.
         stale.sort_by_key(|t| t.index());
         for t in stale {
             // The mediator still hears about each (a serialized dispatcher
@@ -1974,7 +1985,7 @@ impl Browser {
             let ri = r.index() as usize;
             if self.requests[ri].state == RequestState::Pending {
                 self.requests[ri].state = RequestState::Aborted;
-                if let Some(tok) = self.request_tokens.get(&r).copied() {
+                if let Some(tok) = self.request_tokens.get(r.index()).copied() {
                     self.cancel_event(tok);
                 }
             }
@@ -2013,7 +2024,7 @@ impl Browser {
             "deliver-abort",
         );
         self.requests[ri].state = RequestState::Aborted;
-        if let Some(tok) = self.request_tokens.get(&req).copied() {
+        if let Some(tok) = self.request_tokens.get(req.index()).copied() {
             // Replace the success callback with an abort-error delivery when
             // the owner is still alive.
             if owner_alive {
@@ -2086,7 +2097,7 @@ impl Browser {
 
 impl Browser {
     pub(crate) fn request_token(&mut self, req: RequestId, token: EventToken) {
-        self.request_tokens.insert(req, token);
+        self.request_tokens.insert(req.index(), token);
     }
 
     /// Clamps a proposed message-arrival instant so the (from, to) channel

@@ -28,14 +28,14 @@
 //! live**, which is what lets [`top`](KernelEventQueue::top) peek through
 //! `&self` without mutation. Compared to the previous `BTreeMap` index this
 //! makes push/pop O(log n) with no per-node allocation or rebalancing on
-//! the dispatch hot path. The token map uses the kernel's deterministic
-//! integer hasher ([`crate::fasthash`]): tokens are kernel-assigned, never
+//! the dispatch hot path. The token map uses the deterministic integer
+//! hasher ([`jsk_sim::fasthash`]): tokens are kernel-assigned, never
 //! attacker-controlled, so SipHash would be pure overhead on every
 //! push/confirm/remove.
 
-use crate::fasthash::FastMap;
 use crate::kevent::{KEventStatus, KernelEvent};
 use jsk_browser::ids::EventToken;
+use jsk_sim::fasthash::FastMap;
 use jsk_sim::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -21,7 +21,6 @@ use crate::check::InvariantChecker;
 use crate::comm::KernelMsg;
 use crate::config::KernelConfig;
 use crate::equeue::KernelEventQueue;
-use crate::fasthash::FastMap;
 use crate::interface::KernelInterface;
 use crate::kclock::KernelClock;
 use crate::kevent::{KEventStatus, KernelEvent};
@@ -29,7 +28,6 @@ use crate::policy::PolicyEngine;
 use crate::scheduler::CompiledPrediction;
 use crate::stats::KernelStats;
 use crate::threads::{KThreadStatus, ThreadManager};
-use crate::token_table::TokenTable;
 use jsk_browser::event::{AsyncEventInfo, AsyncKind};
 use jsk_browser::ids::{EventToken, RequestId, ThreadId, WorkerId, MAIN_THREAD};
 use jsk_browser::mediator::{
@@ -37,8 +35,10 @@ use jsk_browser::mediator::{
 };
 use jsk_browser::trace::{ApiCall, EdgeKind};
 use jsk_browser::value::JsValue;
+use jsk_sim::fasthash::FastMap;
 use jsk_sim::time::{SimDuration, SimTime};
-use std::sync::OnceLock;
+use jsk_sim::token_table::TokenTable;
+use std::sync::{Arc, OnceLock};
 
 /// Whether `JSK_DEBUG` tracing is enabled (checked once).
 fn debug_enabled() -> bool {
@@ -237,14 +237,39 @@ impl KernelObs {
     }
 }
 
-/// The JSKernel.
-pub struct JsKernel {
+/// The immutable, compiled half of a kernel: its configuration, the policy
+/// engine's decision tables, the kernel interface table and the compiled
+/// prediction quanta. A kernel reads these on every event and never writes
+/// them, so kernels built from one configuration share a single plan
+/// behind an [`Arc`]; a site then builds only its own mutable state.
+#[derive(Debug)]
+pub struct KernelPlan {
     cfg: KernelConfig,
     engine: PolicyEngine,
-    threads: ThreadManager,
     interface: KernelInterface,
-    /// The prediction quanta compiled to flat tables at construction.
+    /// The prediction quanta compiled to flat tables.
     prediction: CompiledPrediction,
+}
+
+impl KernelPlan {
+    /// Compiles `cfg`: installs its policies into a [`PolicyEngine`],
+    /// compiles its prediction quanta and builds the standard interface.
+    #[must_use]
+    pub fn new(cfg: KernelConfig) -> KernelPlan {
+        KernelPlan {
+            engine: PolicyEngine::new(cfg.policies.clone()),
+            interface: KernelInterface::standard(),
+            prediction: cfg.prediction.compile(),
+            cfg,
+        }
+    }
+}
+
+/// The JSKernel.
+pub struct JsKernel {
+    /// The shared, immutable compiled configuration.
+    plan: Arc<KernelPlan>,
+    threads: ThreadManager,
     /// Dense per-thread kernel state, indexed by `ThreadId::index()`.
     /// Browser thread ids are small and densely assigned, so the Vec is a
     /// direct-index slab; slots for ids the kernel never touched stay at
@@ -280,8 +305,8 @@ pub struct JsKernel {
 impl std::fmt::Debug for JsKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsKernel")
-            .field("deterministic", &self.cfg.deterministic)
-            .field("policies", &self.engine.policies().len())
+            .field("deterministic", &self.plan.cfg.deterministic)
+            .field("policies", &self.plan.engine.policies().len())
             .field("threads", &self.per_thread.len())
             .field("kernel_messages", &self.stats.kernel_messages)
             .finish()
@@ -295,16 +320,20 @@ impl Default for JsKernel {
 }
 
 impl JsKernel {
-    /// Creates a kernel with the given configuration.
+    /// Creates a kernel with the given configuration, compiling a plan of
+    /// its own. Kernels built repeatedly from one configuration should
+    /// share a plan through [`JsKernel::from_plan`] instead.
     #[must_use]
     pub fn new(cfg: KernelConfig) -> JsKernel {
-        let engine = PolicyEngine::new(cfg.policies.clone());
-        let prediction = cfg.prediction.compile();
+        JsKernel::from_plan(Arc::new(KernelPlan::new(cfg)))
+    }
+
+    /// Creates a kernel over a compiled, possibly shared, plan. Only the
+    /// per-run state (queues, clocks, thread table, counters) is built.
+    #[must_use]
+    pub fn from_plan(plan: Arc<KernelPlan>) -> JsKernel {
         JsKernel {
-            engine,
             threads: ThreadManager::new(),
-            interface: KernelInterface::standard(),
-            prediction,
             per_thread: Vec::new(),
             token_info: TokenTable::new(),
             fetch_worker: TokenTable::new(),
@@ -312,10 +341,16 @@ impl JsKernel {
             pending_bind: std::collections::VecDeque::new(),
             stats: KernelStats::new(),
             stream_last: FastMap::default(),
-            checker: cfg.check_invariants.then(InvariantChecker::new),
-            cfg,
+            checker: plan.cfg.check_invariants.then(InvariantChecker::new),
+            plan,
             obs: None,
         }
+    }
+
+    /// The compiled plan this kernel runs on.
+    #[must_use]
+    pub fn plan(&self) -> &Arc<KernelPlan> {
+        &self.plan
     }
 
     /// Predicts an event's invocation instant. One-shot kinds predict from
@@ -324,7 +359,7 @@ impl JsKernel {
     /// predictions are exactly one quantum apart.
     fn predict(&mut self, info: &AsyncEventInfo) -> SimTime {
         // Compiled quantum tables: one indexed load per prediction.
-        let quantum = self.prediction.delay_for(&info.kind);
+        let quantum = self.plan.prediction.delay_for(&info.kind);
         // Messages are predicted on the *sender's* kernel clock: Listing 3
         // interposes `JSKernel_WorkerPostMessage` in the sending thread, so
         // the prediction inherits the sender's deterministic timeline and a
@@ -374,7 +409,7 @@ impl JsKernel {
     /// The kernel interface table (for §VI robustness checks).
     #[must_use]
     pub fn interface(&self) -> &KernelInterface {
-        &self.interface
+        &self.plan.interface
     }
 
     /// The kernel thread manager (read-only view).
@@ -406,7 +441,7 @@ impl JsKernel {
     /// The configuration in effect.
     #[must_use]
     pub fn config(&self) -> &KernelConfig {
-        &self.cfg
+        &self.plan.cfg
     }
 
     /// Advances a thread's kernel clock to an external timeline value —
@@ -424,7 +459,7 @@ impl JsKernel {
             // here would mean an unbound placeholder id leaked into the
             // dispatch path.
             debug_assert!(idx < (1 << 20), "implausible thread index {idx}");
-            let tick_unit = self.cfg.tick_unit;
+            let tick_unit = self.plan.cfg.tick_unit;
             self.per_thread
                 .resize_with(idx + 1, || ThreadKernel::new(tick_unit));
         }
@@ -546,7 +581,7 @@ impl JsKernel {
         if let Some(o) = self.obs.as_ref() {
             // Dispatch latency: how far past its predicted instant the
             // event was released, in kernel clock ticks.
-            let tick = self.cfg.tick_unit.as_nanos().max(1);
+            let tick = self.plan.cfg.tick_unit.as_nanos().max(1);
             let late = now.saturating_duration_since(head.predicted).as_nanos() / tick;
             o.handle
                 .histogram_record(o.syms.dispatch_latency_ticks, late);
@@ -576,7 +611,7 @@ impl JsKernel {
     /// the blocked head — the hold is measured per head, not per queue, so a
     /// healthy pipeline that keeps making progress never expires anything.
     fn watchdog_fire(&mut self, ctx: &mut MediatorCtx<'_>, thread: ThreadId) -> bool {
-        let hold = self.cfg.watchdog_hold;
+        let hold = self.plan.cfg.watchdog_hold;
         if hold == SimDuration::ZERO {
             return false;
         }
@@ -650,7 +685,7 @@ impl JsKernel {
                     from,
                     MAIN_THREAD,
                     KernelMsg::FetchSettled { req, worker }.encode(),
-                    ctx.now + self.cfg.kernel_channel_latency,
+                    ctx.now + self.plan.cfg.kernel_channel_latency,
                 );
             }
         }
@@ -693,10 +728,10 @@ impl Mediator for JsKernel {
     }
 
     fn read_clock(&mut self, _ctx: &mut MediatorCtx<'_>, read: ClockRead) -> SimTime {
-        if !self.cfg.deterministic {
+        if !self.plan.cfg.deterministic {
             return read.native_display();
         }
-        let precision = self.cfg.display_precision;
+        let precision = self.plan.cfg.display_precision;
         let tk = self.tk(read.thread);
         // The paper's clock "ticks based on specific API calls": reading it
         // is itself an API call.
@@ -705,7 +740,7 @@ impl Mediator for JsKernel {
     }
 
     fn on_register(&mut self, ctx: &mut MediatorCtx<'_>, info: &AsyncEventInfo) {
-        if !self.cfg.deterministic {
+        if !self.plan.cfg.deterministic {
             return;
         }
         let predicted = self.predict(info);
@@ -729,7 +764,7 @@ impl Mediator for JsKernel {
                 predicted
             );
         }
-        let capacity = self.cfg.equeue_capacity;
+        let capacity = self.plan.cfg.equeue_capacity;
         let event = KernelEvent::pending(info.token, info.thread, info.kind, predicted);
         if self
             .tk(info.thread)
@@ -765,7 +800,7 @@ impl Mediator for JsKernel {
         if let AsyncKind::Net { req, .. } = info.kind {
             self.settle_fetch(ctx, req);
         }
-        if !self.cfg.deterministic {
+        if !self.plan.cfg.deterministic {
             return ConfirmDecision::InvokeAt(raw_fire);
         }
         self.stats.confirmed += 1;
@@ -837,7 +872,7 @@ impl Mediator for JsKernel {
         // dispatch notifications — those never ran user code, so they must
         // neither break the chain nor consume pending comm edges.
         if let Some(node) = ctx.node {
-            let deterministic = self.cfg.deterministic;
+            let deterministic = self.plan.cfg.deterministic;
             let tk = self.tk(thread);
             // Kernel-channel deliveries since this thread's last task order
             // their senders before everything the thread runs from now on.
@@ -858,7 +893,7 @@ impl Mediator for JsKernel {
                 tk.last_node = Some(node);
             }
         }
-        if !self.cfg.deterministic {
+        if !self.plan.cfg.deterministic {
             return;
         }
         if let Some(t) = token {
@@ -895,7 +930,7 @@ impl Mediator for JsKernel {
         // so the degradation counters are order-independent and the head is
         // accounted exactly once (cancel_live below skips it once
         // Cancelled).
-        let hold = self.cfg.watchdog_hold;
+        let hold = self.plan.cfg.watchdog_hold;
         if hold > SimDuration::ZERO {
             if let Some((tok, t0)) = self.tk(thread).watchdog {
                 if ctx.now >= t0 + hold {
@@ -980,7 +1015,7 @@ impl Mediator for JsKernel {
                         src: *src,
                     }
                     .encode(),
-                    ctx.now + self.cfg.kernel_channel_latency,
+                    ctx.now + self.plan.cfg.kernel_channel_latency,
                 );
             }
             ApiCall::Fetch { thread, req, .. } => {
@@ -994,7 +1029,7 @@ impl Mediator for JsKernel {
                         *thread,
                         MAIN_THREAD,
                         KernelMsg::PendingChildFetch { req: *req, worker }.encode(),
-                        ctx.now + self.cfg.kernel_channel_latency,
+                        ctx.now + self.plan.cfg.kernel_channel_latency,
                     );
                 }
             }
@@ -1010,7 +1045,7 @@ impl Mediator for JsKernel {
             o.handle
                 .span_enter(o.syms.policy_decide, MAIN_THREAD.index(), ctx.now);
         }
-        let (outcome, rule) = self.engine.decide(call, &self.threads);
+        let (outcome, rule) = self.plan.engine.decide(call, &self.threads);
         if let Some(o) = self.obs.as_ref() {
             o.handle
                 .span_exit(o.syms.policy_decide, MAIN_THREAD.index(), ctx.now);
@@ -1033,7 +1068,7 @@ impl Mediator for JsKernel {
     }
 
     fn on_tick(&mut self, ctx: &mut MediatorCtx<'_>, thread: ThreadId) {
-        if self.cfg.deterministic {
+        if self.plan.cfg.deterministic {
             let _ = self.dispatch(ctx, thread, None);
         }
     }
@@ -1067,7 +1102,7 @@ impl Mediator for JsKernel {
                     MAIN_THREAD,
                     from,
                     KernelMsg::ConfirmFetch { req }.encode(),
-                    ctx.now + self.cfg.kernel_channel_latency,
+                    ctx.now + self.plan.cfg.kernel_channel_latency,
                 );
             }
             KernelMsg::ConfirmFetch { .. } => {
@@ -1102,18 +1137,18 @@ impl Mediator for JsKernel {
     }
 
     fn freeze_sab_reads(&self) -> bool {
-        self.cfg.deterministic
+        self.plan.cfg.deterministic
     }
 
     fn interposition_cost(&self, class: InterposeClass) -> SimDuration {
         match class {
-            InterposeClass::Clock => self.cfg.costs.clock,
-            InterposeClass::Timer => self.cfg.costs.timer,
-            InterposeClass::Message => self.cfg.costs.message,
-            InterposeClass::Worker => self.cfg.costs.worker,
-            InterposeClass::Net => self.cfg.costs.net,
-            InterposeClass::Dom => self.cfg.costs.dom,
-            InterposeClass::Sab => self.cfg.costs.sab,
+            InterposeClass::Clock => self.plan.cfg.costs.clock,
+            InterposeClass::Timer => self.plan.cfg.costs.timer,
+            InterposeClass::Message => self.plan.cfg.costs.message,
+            InterposeClass::Worker => self.plan.cfg.costs.worker,
+            InterposeClass::Net => self.plan.cfg.costs.net,
+            InterposeClass::Dom => self.plan.cfg.costs.dom,
+            InterposeClass::Sab => self.plan.cfg.costs.sab,
         }
     }
 }

@@ -41,7 +41,6 @@ pub mod check;
 pub mod comm;
 pub mod config;
 pub mod equeue;
-pub mod fasthash;
 pub mod interface;
 pub mod kclock;
 pub mod kernel;
@@ -50,7 +49,6 @@ pub mod policy;
 pub mod scheduler;
 pub mod stats;
 pub mod threads;
-pub mod token_table;
 
 pub use config::KernelConfig;
 pub use kernel::JsKernel;

@@ -8,9 +8,9 @@
 //! alive while a transferred buffer lives; suppress aborts to dead
 //! workers; …).
 
-use crate::fasthash::{FastMap, FastSet};
 use jsk_browser::ids::{BufferId, RequestId, ThreadId, WorkerId};
 use jsk_browser::trace::Sym;
+use jsk_sim::fasthash::{FastMap, FastSet};
 
 /// Kernel thread status (paper: "started", "ready", "closed").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

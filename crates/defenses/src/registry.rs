@@ -9,8 +9,9 @@ use jsk_browser::browser::{Browser, BrowserConfig};
 use jsk_browser::mediator::{LegacyMediator, Mediator};
 use jsk_browser::profile::{BrowserProfile, Engine};
 use jsk_core::config::KernelConfig;
-use jsk_core::kernel::JsKernel;
+use jsk_core::kernel::{JsKernel, KernelPlan};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Every browser/defense configuration the evaluation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -96,7 +97,9 @@ impl DefenseKind {
         }
     }
 
-    /// Builds the mediator for this defense.
+    /// Builds the mediator for this defense. Kernel defenses share one
+    /// compiled [`KernelPlan`] per kernel configuration, compiled by the
+    /// first call, so each later call builds only per-run kernel state.
     #[must_use]
     pub fn mediator(self) -> Box<dyn Mediator> {
         match self {
@@ -108,9 +111,16 @@ impl DefenseKind {
             DefenseKind::TorBrowser => Box::new(TorBrowser::default()),
             DefenseKind::ChromeZero => Box::new(ChromeZero::default()),
             DefenseKind::JsKernel | DefenseKind::JsKernelFirefox | DefenseKind::JsKernelEdge => {
-                Box::new(JsKernel::new(KernelConfig::full()))
+                static FULL: OnceLock<Arc<KernelPlan>> = OnceLock::new();
+                Box::new(JsKernel::from_plan(shared_plan(&FULL, KernelConfig::full)))
             }
-            DefenseKind::JsKernelHardened => Box::new(JsKernel::new(KernelConfig::hardened())),
+            DefenseKind::JsKernelHardened => {
+                static HARDENED: OnceLock<Arc<KernelPlan>> = OnceLock::new();
+                Box::new(JsKernel::from_plan(shared_plan(
+                    &HARDENED,
+                    KernelConfig::hardened,
+                )))
+            }
         }
     }
 
@@ -141,6 +151,13 @@ impl DefenseKind {
             DefenseKind::LegacyChrome | DefenseKind::LegacyFirefox | DefenseKind::LegacyEdge
         )
     }
+}
+
+/// The kernel plan held in `cell`, compiled from `config()` by the first
+/// mediator that asks for it. Every later kernel of the defense shares it,
+/// so a site pays only for its own kernel state.
+fn shared_plan(cell: &OnceLock<Arc<KernelPlan>>, config: fn() -> KernelConfig) -> Arc<KernelPlan> {
+    Arc::clone(cell.get_or_init(|| Arc::new(KernelPlan::new(config()))))
 }
 
 #[cfg(test)]

@@ -129,8 +129,8 @@ impl Observer {
 }
 
 impl Subscriber for Observer {
-    fn intern(&mut self, name: &str) -> Sym {
-        self.strings.intern(name)
+    fn intern(&mut self, name: &'static str) -> Sym {
+        self.strings.intern_static(name)
     }
 
     fn span_enter(&mut self, name: Sym, tid: u64, at: SimTime) {

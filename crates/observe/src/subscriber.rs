@@ -22,8 +22,9 @@ use std::rc::Rc;
 /// unconditionally once an observer is attached.
 pub trait Subscriber {
     /// Interns a name, returning the symbol to pass to later hooks.
-    /// Instrumented code calls this once per name at attach time.
-    fn intern(&mut self, name: &str) -> Sym;
+    /// Instrumented code calls this once per name at attach time, always
+    /// with a literal, so a subscriber can keep the name without copying it.
+    fn intern(&mut self, name: &'static str) -> Sym;
 
     /// A synchronous span opened on thread `tid` at sim-time `at`.
     fn span_enter(&mut self, name: Sym, tid: u64, at: SimTime);
@@ -78,7 +79,7 @@ impl ObsHandle {
 
     /// Forwards [`Subscriber::intern`].
     #[must_use]
-    pub fn intern(&self, name: &str) -> Sym {
+    pub fn intern(&self, name: &'static str) -> Sym {
         self.0.borrow_mut().intern(name)
     }
 

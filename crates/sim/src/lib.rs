@@ -3,8 +3,9 @@
 //! Foundations for the JSKernel reproduction: a virtual timeline
 //! ([`time::SimTime`]), a cancellable time-ordered event queue
 //! ([`queue::TimeQueue`]), seeded reproducible randomness ([`rng::SimRng`]),
-//! strongly-typed ids ([`ids`]), and the statistics used by attack verdicts
-//! and evaluation harnesses ([`stats`]).
+//! strongly-typed ids ([`ids`]), the id-keyed tables every layer above
+//! shares ([`fasthash`], [`token_table`]), and the statistics used by
+//! attack verdicts and evaluation harnesses ([`stats`]).
 //!
 //! The browser substrate (`jsk-browser`) builds its event loops on these
 //! primitives; everything above it (defenses, the JSKernel itself, attacks,
@@ -26,6 +27,7 @@
 //! assert_eq!(first.value, "message arrived");
 //! ```
 
+pub mod fasthash;
 pub mod fault;
 pub mod ids;
 pub mod knob;
@@ -33,6 +35,7 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod token_table;
 
 pub use fault::{
     ClockSkew, ConfirmFate, FaultInjector, FaultPlan, FaultPlanError, FaultStats, MessageFate,

@@ -24,9 +24,10 @@
 //! # let _ = b;
 //! ```
 
+use crate::fasthash::FastSet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Handle returned by [`TimeQueue::push`], used to cancel the entry.
@@ -98,9 +99,11 @@ impl<T> Ord for Entry<T> {
 pub struct TimeQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     /// Seqs currently stored in `heap` (live or cancelled-but-unpruned).
-    in_heap: HashSet<u64>,
+    /// Seqs are the queue's own counter, so the sets hash with
+    /// [`FastSet`]'s integer hasher rather than SipHash.
+    in_heap: FastSet<u64>,
     /// Seqs in `heap` that have been cancelled and must be skipped.
-    cancelled: HashSet<u64>,
+    cancelled: FastSet<u64>,
     next_seq: u64,
 }
 
@@ -126,8 +129,8 @@ impl<T> TimeQueue<T> {
     pub fn new() -> Self {
         TimeQueue {
             heap: BinaryHeap::new(),
-            in_heap: HashSet::new(),
-            cancelled: HashSet::new(),
+            in_heap: FastSet::default(),
+            cancelled: FastSet::default(),
             next_seq: 0,
         }
     }
