@@ -10,20 +10,13 @@
 
 use crate::report::{analyze, AnalysisReport};
 use jsk_attacks::cve_exploits::all_exploits;
+use jsk_attacks::{listing1, LISTING1};
 use jsk_browser::browser::{Browser, BrowserConfig};
 use jsk_browser::mediator::{LegacyMediator, Mediator};
 use jsk_browser::profile::BrowserProfile;
-use jsk_browser::task::{cb, worker_script};
 use jsk_browser::trace::Trace;
-use jsk_browser::value::JsValue;
 use jsk_core::policy::PolicySpec;
 use jsk_core::{JsKernel, KernelConfig};
-use jsk_sim::time::SimDuration;
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// The Listing 1 program's corpus name.
-pub const LISTING1: &str = "listing-1";
 
 /// How a corpus program is scheduled and mediated.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,17 +25,6 @@ pub enum CorpusMode {
     Raw,
     /// A kernel running exactly this policy.
     Kernel(PolicySpec),
-}
-
-/// All corpus program names: the twelve CVE ids (Table I order) plus
-/// [`LISTING1`].
-#[must_use]
-pub fn program_names() -> Vec<String> {
-    all_exploits()
-        .iter()
-        .map(|e| e.cve().id().to_owned())
-        .chain(std::iter::once(LISTING1.to_owned()))
-        .collect()
 }
 
 /// The kernel configuration hosting one policy: the policy's scheduling
@@ -69,24 +51,31 @@ fn mediator_for(mode: &CorpusMode) -> Box<dyn Mediator> {
     }
 }
 
-/// Runs one corpus program and returns its trace.
+/// Runs one corpus program and returns its trace. Listing 1 measures
+/// the larger of its two secrets.
 ///
 /// # Panics
 ///
-/// Panics when `name` is not one of [`program_names`].
+/// Panics when `name` is not one of [`jsk_attacks::corpus_names`].
 #[must_use]
 pub fn run_program_trace(name: &str, mode: &CorpusMode, seed: u64) -> Trace {
-    if name == LISTING1 {
-        return listing1_trace(mode, seed);
-    }
-    let exploit = all_exploits()
-        .into_iter()
-        .find(|e| e.cve().id() == name)
-        .unwrap_or_else(|| panic!("unknown corpus program `{name}`"));
+    let exploit = (name != LISTING1).then(|| {
+        all_exploits()
+            .into_iter()
+            .find(|e| e.cve().id() == name)
+            .unwrap_or_else(|| panic!("unknown corpus program `{name}`"))
+    });
     let mut cfg = BrowserConfig::new(BrowserProfile::chrome(), seed);
-    exploit.configure(&mut cfg);
+    if let Some(exploit) = &exploit {
+        exploit.configure(&mut cfg);
+    }
     let mut browser = Browser::new(cfg, mediator_for(mode));
-    exploit.run(&mut browser);
+    match exploit {
+        Some(exploit) => exploit.run(&mut browser),
+        None => {
+            listing1::run(&mut browser, 2048 * 2048);
+        }
+    }
     browser.trace().clone()
 }
 
@@ -94,69 +83,21 @@ pub fn run_program_trace(name: &str, mode: &CorpusMode, seed: u64) -> Trace {
 ///
 /// # Panics
 ///
-/// Panics when `name` is not one of [`program_names`].
+/// Panics when `name` is not one of [`jsk_attacks::corpus_names`].
 #[must_use]
 pub fn run_program(name: &str, mode: &CorpusMode, seed: u64) -> AnalysisReport {
     analyze(&run_program_trace(name, mode, seed))
-}
-
-/// The Listing 1 attack (worker `postMessage` ticker bracketing a
-/// secret-dependent SVG filter), same shape as
-/// `examples/implicit_clock_attack.rs`.
-fn listing1_trace(mode: &CorpusMode, seed: u64) -> Trace {
-    let secret_px = 2048 * 2048;
-    let mut browser = Browser::new(
-        BrowserConfig::new(BrowserProfile::chrome(), seed),
-        mediator_for(mode),
-    );
-    browser.boot(move |scope| {
-        let worker = scope.create_worker(
-            "worker.js",
-            worker_script(|scope| {
-                scope.set_interval(
-                    1.0,
-                    cb(|scope, _| {
-                        scope.post_message(JsValue::from(1.0));
-                    }),
-                );
-            }),
-        );
-        let count = Rc::new(RefCell::new(0u64));
-        let counter = count.clone();
-        scope.set_worker_onmessage(
-            worker,
-            cb(move |_, _| {
-                *counter.borrow_mut() += 1;
-            }),
-        );
-        scope.set_timeout(
-            60.0,
-            cb(move |scope, _| {
-                let count = count.clone();
-                scope.request_animation_frame(cb(move |scope, _| {
-                    let before = *count.borrow();
-                    scope.apply_svg_filter(secret_px);
-                    let count = count.clone();
-                    scope.request_animation_frame(cb(move |scope, _| {
-                        let ticks = *count.borrow() - before;
-                        scope.record("ticks", JsValue::from(ticks as f64));
-                    }));
-                }));
-            }),
-        );
-    });
-    browser.run_for(SimDuration::from_millis(400));
-    browser.trace().clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scanner::PatternKind;
+    use jsk_attacks::corpus_names;
 
     #[test]
     fn corpus_has_thirteen_programs() {
-        let names = program_names();
+        let names = corpus_names();
         assert_eq!(names.len(), 13);
         assert!(names.contains(&"CVE-2018-5092".to_owned()));
         assert_eq!(names.last().map(String::as_str), Some(LISTING1));

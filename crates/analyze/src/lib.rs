@@ -39,7 +39,7 @@ pub mod prove;
 pub mod report;
 pub mod scanner;
 
-pub use corpus::{program_names, run_program, run_program_trace, CorpusMode};
+pub use corpus::{run_program, run_program_trace, CorpusMode};
 pub use hb::{detect_races, AccessSite, HbGraph, RaceFinding, ReorderWitness};
 pub use lint::{lint_policy, lint_policy_set, LintKind, LintLevel, PolicyLint};
 pub use predict::{

@@ -31,6 +31,7 @@
 //! ≥ 20-sends ticker threshold is a *detection* knob, not semantics: one
 //! unquantized tick is modeled as a fire.
 
+use jsk_attacks::LISTING1;
 use jsk_browser::mediator::ApiOutcome;
 use jsk_core::policy::automata::{attack_models, AttackModel, AttackOp};
 use jsk_core::policy::{cve, deterministic_policy, families, PolicyEngine, PolicySpec};
@@ -240,7 +241,7 @@ fn realize(model: &AttackModel, policy: &str) -> Option<Schedule> {
         "WorkerSopBypass" => "CVE-2013-1714",
         "SandboxOriginInheritance" => "CVE-2011-1190",
         "StaleDocCompletion" => "CVE-2010-4576",
-        "ImplicitClockTicker" => "listing-1",
+        "ImplicitClockTicker" => LISTING1,
         "SharedLoopContention" => "attack-loophole",
         "IlpStealthyTicker" => "attack-hacky-racers",
         _ => return None,

@@ -176,7 +176,7 @@ pub fn run_cve_attack(
     defense: DefenseKind,
     seed: u64,
 ) -> CveAttackResult {
-    run_cve_attack_with_faults(exploit, defense, seed, FaultPlan::default())
+    run_cve(exploit, defense, seed, FaultPlan::default(), &mut |_| {})
 }
 
 /// Like [`run_cve_attack`], but calls `observe` on the browser after the
@@ -188,19 +188,7 @@ pub fn run_cve_attack_observed(
     seed: u64,
     observe: &mut dyn FnMut(&Browser),
 ) -> CveAttackResult {
-    let mut cfg = defense.config(seed);
-    exploit.configure(&mut cfg);
-    let mut browser = Browser::new(cfg, defense.mediator());
-    exploit.run(&mut browser);
-    observe(&browser);
-    let report = oracle::scan(browser.trace());
-    let cve = exploit.cve();
-    CveAttackResult {
-        cve,
-        defense: defense.label().to_owned(),
-        triggered: report.is_triggered(cve),
-        witness: report.evidence(cve).map(|e| e.witness.clone()),
-    }
+    run_cve(exploit, defense, seed, FaultPlan::default(), observe)
 }
 
 /// Runs a CVE exploit against a defense while the given fault plan perturbs
@@ -214,6 +202,18 @@ pub fn run_cve_attack_with_faults(
     seed: u64,
     plan: FaultPlan,
 ) -> CveAttackResult {
+    run_cve(exploit, defense, seed, plan, &mut |_| {})
+}
+
+/// The one CVE-run body: configure, build (installing `plan` unless it is
+/// inert), run, `observe`, then ask the oracle.
+fn run_cve(
+    exploit: &dyn CveExploit,
+    defense: DefenseKind,
+    seed: u64,
+    plan: FaultPlan,
+    observe: &mut dyn FnMut(&Browser),
+) -> CveAttackResult {
     let mut cfg = defense.config(seed);
     if !plan.is_inert() {
         cfg = cfg.with_fault(plan);
@@ -221,6 +221,7 @@ pub fn run_cve_attack_with_faults(
     exploit.configure(&mut cfg);
     let mut browser = Browser::new(cfg, defense.mediator());
     exploit.run(&mut browser);
+    observe(&browser);
     let report = oracle::scan(browser.trace());
     let cve = exploit.cve();
     CveAttackResult {

@@ -8,7 +8,9 @@
 //!   filtering, floating point, CSS animation, Video/WebVTT;
 //! * **event-loop monitoring** ([`loopscan`]);
 //! * **CVE exploit scripts** ([`cve_exploits`]) for the twelve
-//!   web-concurrency vulnerabilities.
+//!   web-concurrency vulnerabilities;
+//! * **Listing 1** ([`listing1`]), the paper's motivating attack: a
+//!   worker's `postMessage` stream timing a secret-sized SVG filter.
 //!
 //! Two post-paper attack families ride with the fuzzer's seed corpus and
 //! are defeated only by `KernelConfig::hardened()`:
@@ -26,6 +28,7 @@ pub mod contention;
 pub mod cve_exploits;
 pub mod harness;
 pub mod ilp_ticker;
+pub mod listing1;
 pub mod loopscan;
 pub mod raf_attacks;
 pub mod sab_clock;
@@ -38,6 +41,7 @@ pub use harness::{
     CveAttackResult, CveExploit, Secret, TimingAttack, TimingAttackResult,
 };
 pub use ilp_ticker::IlpTicker;
+pub use listing1::LISTING1;
 pub use loopscan::Loopscan;
 pub use raf_attacks::{
     CssAnimationClock, FloatingPoint, HistorySniffing, SvgFiltering, VideoVttClock,
@@ -60,4 +64,28 @@ pub fn all_timing_attacks() -> Vec<Box<dyn TimingAttack>> {
         Box::new(CssAnimationClock::default()),
         Box::new(VideoVttClock::default()),
     ]
+}
+
+/// The 13-program attack corpus, by name: the twelve CVE ids in Table I
+/// order, then [`LISTING1`]. The analysis corpus, the chaos matrix and the
+/// served corpus schedules all key on these names.
+#[must_use]
+pub fn corpus_names() -> Vec<String> {
+    cve_exploits::all_exploits()
+        .iter()
+        .map(|e| e.cve().id().to_owned())
+        .chain(std::iter::once(LISTING1.to_owned()))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jsk_workloads::schedule::corpus_schedules;
+
+    #[test]
+    fn corpus_names_match_the_corpus_schedules_in_order() {
+        let schedules: Vec<String> = corpus_schedules().into_iter().map(|s| s.name).collect();
+        assert_eq!(corpus_names(), schedules);
+    }
 }

@@ -71,7 +71,7 @@ fn main() {
             &scenario
                 .report
                 .fleet_metrics
-                .with_label("scenario", &scenario.name),
+                .with_labels(&[("scenario", &scenario.name)]),
         );
         report.row(vec![
             scenario.name.clone(),

@@ -73,10 +73,11 @@ fn repeated_serial_runs_are_stable() {
 /// Analysis reports for the whole corpus (raw + deterministic-kernel mode
 /// per program), fanned through the pool at the given width.
 fn corpus_reports(jobs: usize) -> Vec<String> {
-    use jsk_analyze::corpus::{program_names, run_program, CorpusMode};
+    use jsk_analyze::corpus::{run_program, CorpusMode};
+    use jsk_attacks::corpus_names;
     use jsk_core::policy::deterministic_policy;
 
-    let names = program_names();
+    let names = corpus_names();
     let kernel = CorpusMode::Kernel(deterministic_policy());
     let modes: Vec<(String, CorpusMode)> = names
         .iter()

@@ -34,7 +34,7 @@ use crate::worker::{
     WorkerState,
 };
 use jsk_sim::fasthash::FastMap;
-use jsk_sim::fault::{ConfirmFate, FaultInjector, FaultPlan, FaultStats, MessageFate};
+use jsk_sim::fault::{ConfirmFate, FaultInjector, FaultPlan, MessageFate};
 use jsk_sim::queue::{QueueKey, TimeQueue};
 use jsk_sim::rng::SimRng;
 use jsk_sim::time::{SimDuration, SimTime};
@@ -476,12 +476,6 @@ impl Browser {
         }
         b.with_mediator(|m, ctx| m.on_thread_started(ctx, MAIN_THREAD, false));
         b
-    }
-
-    /// Counters for faults injected so far (`None` when no plan installed).
-    #[must_use]
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.fault.as_ref().map(FaultInjector::stats)
     }
 
     // --- public driving API ------------------------------------------------

@@ -59,12 +59,6 @@ impl<'a> JsScope<'a> {
         self.thread
     }
 
-    /// Whether this scope is a worker global (`self`) rather than `window`.
-    #[must_use]
-    pub fn in_worker(&self) -> bool {
-        self.current_worker().is_some()
-    }
-
     /// The worker this scope executes as, if any (real or polyfill).
     #[must_use]
     pub fn current_worker(&self) -> Option<WorkerId> {

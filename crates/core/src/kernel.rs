@@ -21,11 +21,9 @@ use crate::check::InvariantChecker;
 use crate::comm::KernelMsg;
 use crate::config::KernelConfig;
 use crate::equeue::KernelEventQueue;
-use crate::interface::KernelInterface;
 use crate::kclock::KernelClock;
 use crate::kevent::{KEventStatus, KernelEvent};
 use crate::policy::PolicyEngine;
-use crate::scheduler::CompiledPrediction;
 use crate::stats::KernelStats;
 use crate::threads::{KThreadStatus, ThreadManager};
 use jsk_browser::event::{AsyncEventInfo, AsyncKind};
@@ -237,29 +235,23 @@ impl KernelObs {
     }
 }
 
-/// The immutable, compiled half of a kernel: its configuration, the policy
-/// engine's decision tables, the kernel interface table and the compiled
-/// prediction quanta. A kernel reads these on every event and never writes
-/// them, so kernels built from one configuration share a single plan
-/// behind an [`Arc`]; a site then builds only its own mutable state.
+/// The immutable, compiled half of a kernel: its configuration and the
+/// policy engine's decision tables. A kernel reads these on every event
+/// and never writes them, so kernels built from one configuration share a
+/// single plan behind an [`Arc`]; a site then builds only its own mutable
+/// state.
 #[derive(Debug)]
 pub struct KernelPlan {
     cfg: KernelConfig,
     engine: PolicyEngine,
-    interface: KernelInterface,
-    /// The prediction quanta compiled to flat tables.
-    prediction: CompiledPrediction,
 }
 
 impl KernelPlan {
-    /// Compiles `cfg`: installs its policies into a [`PolicyEngine`],
-    /// compiles its prediction quanta and builds the standard interface.
+    /// Compiles `cfg`: installs its policies into a [`PolicyEngine`].
     #[must_use]
     pub fn new(cfg: KernelConfig) -> KernelPlan {
         KernelPlan {
             engine: PolicyEngine::new(cfg.policies.clone()),
-            interface: KernelInterface::standard(),
-            prediction: cfg.prediction.compile(),
             cfg,
         }
     }
@@ -358,8 +350,7 @@ impl JsKernel {
     /// and CSS ticks) additionally ride a per-stream ladder so successive
     /// predictions are exactly one quantum apart.
     fn predict(&mut self, info: &AsyncEventInfo) -> SimTime {
-        // Compiled quantum tables: one indexed load per prediction.
-        let quantum = self.plan.prediction.delay_for(&info.kind);
+        let quantum = self.plan.cfg.prediction.delay_for(&info.kind);
         // Messages are predicted on the *sender's* kernel clock: Listing 3
         // interposes `JSKernel_WorkerPostMessage` in the sending thread, so
         // the prediction inherits the sender's deterministic timeline and a
@@ -404,18 +395,6 @@ impl JsKernel {
         };
         self.stream_last.insert(k, predicted);
         predicted
-    }
-
-    /// The kernel interface table (for §VI robustness checks).
-    #[must_use]
-    pub fn interface(&self) -> &KernelInterface {
-        &self.plan.interface
-    }
-
-    /// The kernel thread manager (read-only view).
-    #[must_use]
-    pub fn thread_manager(&self) -> &ThreadManager {
-        &self.threads
     }
 
     /// Number of kernel-space overlay messages processed.

@@ -96,91 +96,6 @@ impl PredictionConfig {
     pub fn predict(&self, kclock_now: SimTime, kind: &AsyncKind) -> SimTime {
         kclock_now + self.delay_for(kind)
     }
-
-    /// Compiles the quanta into the dense tables the dispatch hot path
-    /// reads (mirroring the policy engine's compiled decision tables).
-    #[must_use]
-    pub fn compile(&self) -> CompiledPrediction {
-        CompiledPrediction::new(self)
-    }
-}
-
-/// Dense discriminant of an [`AsyncKind`], payload stripped — the row
-/// index into [`CompiledPrediction`]'s tables.
-#[inline]
-#[must_use]
-pub fn kind_slot(kind: &AsyncKind) -> usize {
-    match kind {
-        AsyncKind::Timeout { .. } => 0,
-        AsyncKind::Interval { .. } => 1,
-        AsyncKind::Message { .. } => 2,
-        AsyncKind::Raf => 3,
-        AsyncKind::Net { .. } => 4,
-        AsyncKind::Media => 5,
-        AsyncKind::CssTick => 6,
-        AsyncKind::Idb => 7,
-    }
-}
-
-/// Number of [`AsyncKind`] discriminants ([`kind_slot`]'s range).
-pub const KIND_SLOTS: usize = 8;
-
-/// [`PredictionConfig`] compiled to flat lookup tables, built once at
-/// kernel construction — the prediction analogue of the policy engine's
-/// decision tables. The constant-delay kinds resolve with one indexed
-/// load; the three parameterized kinds (timeout clamp, interval floor,
-/// cached-vs-uncached network) keep a branch-free two-entry table each.
-/// [`delay_for`](Self::delay_for) is pinned to the interpreted
-/// [`PredictionConfig::delay_for`] by an exhaustive equivalence test here.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompiledPrediction {
-    /// Quantum per kind discriminant. The Timeout slot holds the shallow
-    /// clamp, the Interval slot its floor, the Net slot the uncached
-    /// delay; the specialized lookups below finish those kinds.
-    quantum: [SimDuration; KIND_SLOTS],
-    /// Timeout clamp, indexed by `nesting > nesting_threshold`.
-    timer_clamp: [SimDuration; 2],
-    /// Network delay, indexed by `cached`.
-    net: [SimDuration; 2],
-    /// Nesting depth beyond which the nested clamp applies.
-    nesting_threshold: u32,
-}
-
-impl CompiledPrediction {
-    /// Builds the tables from the interpreted quanta.
-    #[must_use]
-    pub fn new(p: &PredictionConfig) -> CompiledPrediction {
-        let mut quantum = [SimDuration::ZERO; KIND_SLOTS];
-        quantum[0] = p.timer_min;
-        quantum[1] = p.timer_nested;
-        quantum[2] = p.message;
-        quantum[3] = p.raf;
-        quantum[4] = p.net_uncached;
-        quantum[5] = p.media;
-        quantum[6] = p.css;
-        quantum[7] = p.idb;
-        CompiledPrediction {
-            quantum,
-            timer_clamp: [p.timer_min, p.timer_nested],
-            net: [p.net_uncached, p.net_cached],
-            nesting_threshold: p.nesting_threshold,
-        }
-    }
-
-    /// The deterministic delay predicted for a registration of `kind` —
-    /// table-driven, exactly equal to [`PredictionConfig::delay_for`].
-    #[inline]
-    #[must_use]
-    pub fn delay_for(&self, kind: &AsyncKind) -> SimDuration {
-        match kind {
-            AsyncKind::Timeout { delay, nesting } => {
-                (*delay).max(self.timer_clamp[usize::from(*nesting > self.nesting_threshold)])
-            }
-            AsyncKind::Interval { delay } => (*delay).max(self.quantum[1]),
-            AsyncKind::Net { cached, .. } => self.net[usize::from(*cached)],
-            other => self.quantum[kind_slot(other)],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -255,90 +170,5 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: PredictionConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);
-    }
-
-    /// Exhaustive over every discriminant × the parameter grid: the
-    /// compiled tables must agree with the interpreted match everywhere,
-    /// for the shipped config and for an asymmetric one.
-    #[test]
-    fn compiled_tables_match_interpreted_delays_exactly() {
-        let shipped = crate::policy::deterministic_policy()
-            .scheduling
-            .expect("deterministic policy has scheduling");
-        // A deliberately asymmetric config so no two table entries alias.
-        let asymmetric = PredictionConfig {
-            timer_min: SimDuration::from_micros(700),
-            timer_nested: SimDuration::from_micros(4_100),
-            nesting_threshold: 3,
-            ..PredictionConfig::default()
-        };
-        for p in [shipped, asymmetric] {
-            assert_compiled_matches(&p);
-        }
-    }
-
-    fn assert_compiled_matches(p: &PredictionConfig) {
-        let c = p.compile();
-        let delays = [
-            SimDuration::ZERO,
-            SimDuration::from_micros(700),
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(50),
-        ];
-        for &delay in &delays {
-            for nesting in 0..8u32 {
-                let k = AsyncKind::Timeout { delay, nesting };
-                assert_eq!(c.delay_for(&k), p.delay_for(&k), "{k:?}");
-            }
-            let k = AsyncKind::Interval { delay };
-            assert_eq!(c.delay_for(&k), p.delay_for(&k), "{k:?}");
-        }
-        for cached in [false, true] {
-            let k = AsyncKind::Net {
-                req: RequestId::new(1),
-                class: jsk_browser::event::NetClass::Fetch,
-                cached,
-            };
-            assert_eq!(c.delay_for(&k), p.delay_for(&k), "{k:?}");
-        }
-        for k in [
-            AsyncKind::Message {
-                from: ThreadId::new(2),
-            },
-            AsyncKind::Raf,
-            AsyncKind::Media,
-            AsyncKind::CssTick,
-            AsyncKind::Idb,
-        ] {
-            assert_eq!(c.delay_for(&k), p.delay_for(&k), "{k:?}");
-        }
-    }
-
-    #[test]
-    fn kind_slots_are_dense_and_distinct() {
-        let kinds = [
-            AsyncKind::Timeout {
-                delay: SimDuration::ZERO,
-                nesting: 0,
-            },
-            AsyncKind::Interval {
-                delay: SimDuration::ZERO,
-            },
-            AsyncKind::Message {
-                from: ThreadId::new(0),
-            },
-            AsyncKind::Raf,
-            AsyncKind::Net {
-                req: RequestId::new(0),
-                class: jsk_browser::event::NetClass::Fetch,
-                cached: false,
-            },
-            AsyncKind::Media,
-            AsyncKind::CssTick,
-            AsyncKind::Idb,
-        ];
-        let mut seen: Vec<usize> = kinds.iter().map(kind_slot).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..KIND_SLOTS).collect::<Vec<_>>());
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end kernel tests: JSKernel installed in the simulated browser.
 //!
 //! These are miniature versions of the paper's attacks — the full attack
-//! suite lives in `jsk-attacks`; here we verify the kernel *machinery*
+//! suite, Listing 1 and its tests among it, lives in `jsk-attacks`; here
+//! we verify the kernel *machinery*
 //! (two-phase scheduling, deterministic clock, policy enforcement) against
 //! the real event loop.
 
@@ -15,8 +16,6 @@ use jsk_browser::value::JsValue;
 use jsk_core::config::KernelConfig;
 use jsk_core::kernel::JsKernel;
 use jsk_sim::time::SimDuration;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn kernel_browser(seed: u64) -> Browser {
     Browser::new(
@@ -30,93 +29,6 @@ fn legacy_browser(seed: u64) -> Browser {
         BrowserConfig::new(BrowserProfile::chrome(), seed),
         Box::new(LegacyMediator),
     )
-}
-
-/// Listing 1, miniaturized: a worker floods `postMessage`; the main thread
-/// counts how many arrive while a secret-dependent operation runs between
-/// two animation frames. Returns the observed count.
-fn implicit_clock_count(browser: &mut Browser, secret_px: u64) -> f64 {
-    browser.boot(move |scope| {
-        let w = scope.create_worker(
-            "worker.js",
-            worker_script(|scope| {
-                // A steady tick stream back to the main thread.
-                scope.set_interval(
-                    1.0,
-                    cb(|scope, _| {
-                        scope.post_message(JsValue::from(1.0));
-                    }),
-                );
-            }),
-        );
-        let count = Rc::new(RefCell::new(0u64));
-        let count2 = count.clone();
-        scope.set_worker_onmessage(
-            w,
-            cb(move |_, _| {
-                *count2.borrow_mut() += 1;
-            }),
-        );
-        // Give the ticker time to run, then measure the secret op between
-        // two frames.
-        scope.set_timeout(
-            60.0,
-            cb(move |scope, _| {
-                let count = count.clone();
-                scope.request_animation_frame(cb(move |scope, _| {
-                    let before = *count.borrow();
-                    scope.apply_svg_filter(secret_px);
-                    let count = count.clone();
-                    scope.request_animation_frame(cb(move |scope, _| {
-                        let ticks = *count.borrow() - before;
-                        scope.record("ticks", JsValue::from(ticks as f64));
-                    }));
-                }));
-            }),
-        );
-    });
-    browser.run_for(SimDuration::from_millis(400));
-    browser
-        .record_value("ticks")
-        .and_then(JsValue::as_f64)
-        .unwrap()
-}
-
-#[test]
-fn implicit_clock_distinguishes_secrets_on_legacy() {
-    // Low- vs high-resolution filter must produce different tick counts on
-    // at least some seeds — that's the attack working.
-    let mut diffs = 0;
-    for seed in 0..5 {
-        let low = implicit_clock_count(&mut legacy_browser(seed), 64 * 64);
-        let high = implicit_clock_count(&mut legacy_browser(1000 + seed), 2048 * 2048);
-        if (low - high).abs() >= 1.0 {
-            diffs += 1;
-        }
-    }
-    assert!(
-        diffs >= 3,
-        "legacy implicit clock should see the secret ({diffs}/5)"
-    );
-}
-
-#[test]
-fn implicit_clock_is_deterministic_under_kernel() {
-    // Under JSKernel the count is a constant: same for both secrets and
-    // across seeds.
-    let mut counts = Vec::new();
-    for seed in 0..4 {
-        counts.push(implicit_clock_count(&mut kernel_browser(seed), 64 * 64));
-        counts.push(implicit_clock_count(
-            &mut kernel_browser(100 + seed),
-            2048 * 2048,
-        ));
-    }
-    let first = counts[0];
-    assert!(
-        counts.iter().all(|c| (*c - first).abs() < f64::EPSILON),
-        "kernel tick counts must be identical: {counts:?}"
-    );
 }
 
 #[test]

@@ -234,37 +234,17 @@ impl MetricsSnapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// A copy of this snapshot with a `{key=value}` label set appended to
-    /// every metric name (Prometheus text-format style):
-    /// `kernel.equeue_depth` becomes `kernel.equeue_depth{shard=3}`.
+    /// A copy of this snapshot with one `{k1=v1,k2=v2,...}` label group
+    /// carrying every pair appended to every metric name (Prometheus
+    /// text-format style): `kernel.equeue_depth` labelled
+    /// `[("shard", "3")]` becomes `kernel.equeue_depth{shard=3}`.
     /// Labelled snapshots from different shards then
     /// [`merge`](MetricsSnapshot::merge) into one registry without their
     /// series colliding, which is how per-shard kernel metrics stay
-    /// separable in a fleet-wide export. Labelling twice nests:
-    /// `name{a=1}{b=2}` — label once, at harvest time.
-    #[must_use]
-    pub fn with_label(&self, key: &str, value: &str) -> MetricsSnapshot {
-        let relabel = |name: &str| format!("{name}{{{key}={value}}}");
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| (relabel(k), *v))
-                .collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (relabel(k), *v)).collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, v)| (relabel(k), v.clone()))
-                .collect(),
-        }
-    }
-
-    /// Like [`with_label`](MetricsSnapshot::with_label) but appends one
-    /// `{k1=v1,k2=v2,...}` group carrying every pair at once — the shape a
-    /// serving layer wants for its `{site,policy}` dimensions, with the
-    /// fleet's `{shard}` group nested on top at harvest time. Pairs keep
-    /// the given order inside the group; the text exposition
+    /// separable in a fleet-wide export. A serving layer labels its
+    /// `{site,policy}` dimensions and the fleet nests its `{shard}` group
+    /// on top at harvest time: labelling twice nests, `name{a=1}{b=2}`.
+    /// Pairs keep the given order inside the group; the text exposition
     /// ([`crate::text::render_text`]) sorts keys when it normalizes. An
     /// empty slice returns the snapshot unchanged.
     #[must_use]
@@ -382,8 +362,8 @@ mod tests {
         reg.gauge_set(g, 3);
         reg.histogram_record(h, 8);
         let snap = reg.snapshot(&strings);
-        let mut fleet = snap.with_label("shard", "0");
-        fleet.merge(&snap.with_label("shard", "1"));
+        let mut fleet = snap.with_labels(&[("shard", "0")]);
+        fleet.merge(&snap.with_labels(&[("shard", "1")]));
         // Series stay separate per shard...
         assert_eq!(fleet.counter("kernel.dispatched{shard=0}"), 5);
         assert_eq!(fleet.counter("kernel.dispatched{shard=1}"), 5);
@@ -413,8 +393,8 @@ mod tests {
         let c = strings.intern("c");
         let mut reg = MetricsRegistry::new();
         reg.counter_add(c, 2);
-        let s0 = reg.snapshot(&strings).with_label("shard", "0");
-        let s1 = reg.snapshot(&strings).with_label("shard", "1");
+        let s0 = reg.snapshot(&strings).with_labels(&[("shard", "0")]);
+        let s1 = reg.snapshot(&strings).with_labels(&[("shard", "1")]);
         let mut ab = s0.clone();
         ab.merge(&s1);
         let mut ba = s1;

@@ -12,7 +12,7 @@
 //!
 //! Series names arrive with **appended label groups** — labelling a
 //! snapshot twice nests (`name{site=x}{shard=0}`, see
-//! [`MetricsSnapshot::with_label`]) — and the exposition normalizes every
+//! [`MetricsSnapshot::with_labels`]) — and the exposition normalizes every
 //! group chain into a single label set with keys sorted and values
 //! quoted. Counters render as one line; gauges render their last value
 //! plus a `_max` high-water series; histograms render cumulative

@@ -14,10 +14,8 @@
 //! fleet view can stack its `{shard=...}` dimension on top.
 
 use jsk_analyze::report::analyze;
-use jsk_core::kernel::JsKernel;
 use jsk_defenses::registry::DefenseKind;
-use jsk_observe::{handle_of, Observer};
-use jsk_shard::serve::{SiteCtx, SiteJob, SiteOutput};
+use jsk_shard::serve::{harvest, SiteCtx, SiteJob, SiteOutput};
 use jsk_workloads::schedule::{run_schedule_with, Schedule};
 
 /// Hard ceilings a wire submission must stay under — a remote client must
@@ -132,22 +130,14 @@ pub fn submission_job(sub: &Submission) -> SiteJob {
 /// purity contract.
 fn run_submission(policy: &str, schedule: &Schedule, ctx: &SiteCtx) -> SiteOutput {
     let kind = policy_kind(policy).expect("validated at admission");
-    let mut cfg = kind.config(ctx.seed).with_shard(ctx.shard);
-    if let Some(plan) = &ctx.fault {
-        cfg = cfg.with_fault(plan.clone());
-    }
-    let shared = Observer::new().shared();
-    cfg = cfg.with_observer(handle_of(&shared));
+    let (cfg, observer) = ctx.browser_config(kind);
     let browser = run_schedule_with(schedule, kind.mediator(), cfg);
 
     let report = analyze(browser.trace());
     let races = report.races.len();
     let patterns = report.patterns.len();
-    let sim_ms = browser.now().as_nanos() / 1_000_000;
-    let wedged = browser
-        .mediator_as::<JsKernel>()
-        .is_some_and(|k| k.stats().wedged());
-    let metrics = shared
+    let (sim_ms, wedged) = harvest(&browser);
+    let metrics = observer
         .borrow()
         .metrics()
         .with_labels(&[("site", &ctx.site), ("policy", policy)]);

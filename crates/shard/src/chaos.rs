@@ -28,23 +28,15 @@
 //! — so any shard's report is comparable bit-for-bit with any other's and
 //! with any rerun.
 
-use crate::serve::{ServeConfig, ServeReport, ShardPool, SiteCtx, SiteJob, SiteOutput};
+use crate::serve::{harvest, ServeConfig, ServeReport, ShardPool, SiteCtx, SiteJob, SiteOutput};
 use jsk_attacks::cve_exploits::all_exploits;
+use jsk_attacks::{corpus_names, listing1};
 use jsk_browser::browser::Browser;
-use jsk_browser::task::{cb, worker_script};
-use jsk_browser::value::JsValue;
-use jsk_core::JsKernel;
 use jsk_defenses::registry::DefenseKind;
-use jsk_observe::{handle_of, MetricsSnapshot, Observer};
+use jsk_observe::MetricsSnapshot;
 use jsk_sim::fault::{ClockSkew, FaultPlan};
-use jsk_sim::time::SimDuration;
 use jsk_vuln::oracle;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// The Listing 1 program's site name.
-pub const LISTING1: &str = "listing-1";
 
 /// Knobs of one chaos-matrix run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,16 +101,6 @@ impl Default for ChaosKnobs {
     }
 }
 
-/// All corpus site names: twelve CVE ids plus [`LISTING1`].
-#[must_use]
-pub fn corpus_site_names() -> Vec<String> {
-    all_exploits()
-        .iter()
-        .map(|e| e.cve().id().to_owned())
-        .chain(std::iter::once(LISTING1.to_owned()))
-        .collect()
-}
-
 /// The seed for corpus program `index`: a pure function of the index (and
 /// the run's base seed), independent of shard placement.
 #[must_use]
@@ -130,7 +112,7 @@ pub fn corpus_seed(base_seed: u64, index: usize) -> u64 {
 /// Table I order, `12` the Listing 1 attack).
 #[must_use]
 pub fn corpus_job(index: usize, base_seed: u64) -> SiteJob {
-    let names = corpus_site_names();
+    let names = corpus_names();
     let site = names[index].clone();
     let seed = corpus_seed(base_seed, index);
     if index < 12 {
@@ -145,7 +127,7 @@ pub fn corpus_job(index: usize, base_seed: u64) -> SiteJob {
 /// serves the corpus in Table I order.
 #[must_use]
 pub fn corpus_matrix_jobs(base_seed: u64, shards: usize) -> Vec<SiteJob> {
-    let n = corpus_site_names().len();
+    let n = corpus_names().len();
     corpus_matrix_jobs_for(&(0..n).collect::<Vec<_>>(), base_seed, shards)
 }
 
@@ -168,19 +150,14 @@ fn run_cve_site(index: usize, ctx: &SiteCtx) -> SiteOutput {
     let exploit = &exploits[index];
     let cve = exploit.cve();
     let defense = DefenseKind::JsKernel;
-    let mut cfg = defense.config(ctx.seed).with_shard(ctx.shard);
-    if let Some(plan) = &ctx.fault {
-        cfg = cfg.with_fault(plan.clone());
-    }
+    let (mut cfg, observer) = ctx.browser_config(defense);
     exploit.configure(&mut cfg);
-    let shared = Observer::new().shared();
-    cfg = cfg.with_observer(handle_of(&shared));
     let mut browser = Browser::new(cfg, defense.mediator());
     exploit.run(&mut browser);
     let report = oracle::scan(browser.trace());
     let triggered = report.is_triggered(cve);
     let (sim_ms, wedged) = harvest(&browser);
-    let metrics = shared.borrow().metrics();
+    let metrics = observer.borrow().metrics();
     SiteOutput {
         defended: Some(!triggered),
         detail: format!("cve={} triggered={triggered}", cve.id()),
@@ -195,16 +172,19 @@ fn run_cve_site(index: usize, ctx: &SiteCtx) -> SiteOutput {
 /// the two tick counts are identical — the kernel's serialized dispatch
 /// leaves the attacker's implicit clock nothing secret-dependent to read.
 fn run_listing1_site(ctx: &SiteCtx) -> SiteOutput {
+    let defense = DefenseKind::JsKernel;
     let mut metrics = MetricsSnapshot::default();
     let mut sim_ms = 0;
     let mut wedged = false;
     let mut ticks = [0.0f64; 2];
     for (slot, secret_px) in [(0, 2048 * 2048), (1, 64 * 64)] {
-        let (t, out) = listing1_ticks(ctx, secret_px);
-        ticks[slot] = t;
-        metrics.merge(&out.0);
-        sim_ms += out.1;
-        wedged |= out.2;
+        let (cfg, observer) = ctx.browser_config(defense);
+        let mut browser = Browser::new(cfg, defense.mediator());
+        ticks[slot] = listing1::run(&mut browser, secret_px).unwrap_or(-1.0);
+        let (ms, w) = harvest(&browser);
+        metrics.merge(&observer.borrow().metrics());
+        sim_ms += ms;
+        wedged |= w;
     }
     SiteOutput {
         defended: Some((ticks[0] - ticks[1]).abs() < f64::EPSILON),
@@ -213,73 +193,6 @@ fn run_listing1_site(ctx: &SiteCtx) -> SiteOutput {
         wedged,
         metrics,
     }
-}
-
-/// One Listing 1 measurement: how many worker `postMessage` ticks land
-/// between the animation frames bracketing a secret-sized SVG filter.
-fn listing1_ticks(ctx: &SiteCtx, secret_px: u64) -> (f64, (MetricsSnapshot, u64, bool)) {
-    let defense = DefenseKind::JsKernel;
-    let mut cfg = defense.config(ctx.seed).with_shard(ctx.shard);
-    if let Some(plan) = &ctx.fault {
-        cfg = cfg.with_fault(plan.clone());
-    }
-    let shared = Observer::new().shared();
-    cfg = cfg.with_observer(handle_of(&shared));
-    let mut browser = Browser::new(cfg, defense.mediator());
-    browser.boot(move |scope| {
-        let worker = scope.create_worker(
-            "worker.js",
-            worker_script(|scope| {
-                scope.set_interval(
-                    1.0,
-                    cb(|scope, _| {
-                        scope.post_message(JsValue::from(1.0));
-                    }),
-                );
-            }),
-        );
-        let count = Rc::new(RefCell::new(0u64));
-        let counter = count.clone();
-        scope.set_worker_onmessage(
-            worker,
-            cb(move |_, _| {
-                *counter.borrow_mut() += 1;
-            }),
-        );
-        scope.set_timeout(
-            60.0,
-            cb(move |scope, _| {
-                let count = count.clone();
-                scope.request_animation_frame(cb(move |scope, _| {
-                    let before = *count.borrow();
-                    scope.apply_svg_filter(secret_px);
-                    let count = count.clone();
-                    scope.request_animation_frame(cb(move |scope, _| {
-                        let delta = *count.borrow() - before;
-                        scope.record("ticks", JsValue::from(delta as f64));
-                    }));
-                }));
-            }),
-        );
-    });
-    browser.run_for(SimDuration::from_millis(400));
-    let ticks = browser
-        .record_value("ticks")
-        .and_then(JsValue::as_f64)
-        .unwrap_or(-1.0);
-    let (sim_ms, wedged) = harvest(&browser);
-    let metrics = shared.borrow().metrics();
-    (ticks, (metrics, sim_ms, wedged))
-}
-
-/// Common post-run accounting: virtual duration and whether graceful
-/// degradation had to step in.
-fn harvest(browser: &Browser) -> (u64, bool) {
-    let sim_ms = browser.now().as_nanos() / 1_000_000;
-    let wedged = browser
-        .mediator_as::<JsKernel>()
-        .is_some_and(|k| k.stats().wedged());
-    (sim_ms, wedged)
 }
 
 /// One row of the matrix: a fault scenario and the fleet report it
@@ -394,7 +307,7 @@ pub fn run_chaos_matrix(knobs: &ChaosKnobs) -> ChaosMatrix {
     let indices = knobs
         .corpus
         .clone()
-        .unwrap_or_else(|| (0..corpus_site_names().len()).collect());
+        .unwrap_or_else(|| (0..corpus_names().len()).collect());
     let jobs = corpus_matrix_jobs_for(&indices, knobs.base_seed, knobs.shards);
     let serve = |plan: Option<FaultPlan>| {
         let mut cfg = ServeConfig::new(knobs.shards, knobs.workers);
@@ -447,10 +360,11 @@ pub fn run_chaos_matrix(knobs: &ChaosKnobs) -> ChaosMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jsk_attacks::LISTING1;
 
     #[test]
     fn corpus_has_thirteen_programs_with_shard_free_seeds() {
-        let names = corpus_site_names();
+        let names = corpus_names();
         assert_eq!(names.len(), 13);
         assert_eq!(names.last().map(String::as_str), Some(LISTING1));
         let jobs = corpus_matrix_jobs(7, 4);

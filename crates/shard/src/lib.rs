@@ -33,8 +33,8 @@ pub mod chaos;
 pub mod serve;
 
 pub use chaos::{
-    corpus_job, corpus_matrix_jobs, corpus_matrix_jobs_for, corpus_seed, corpus_site_names,
-    run_chaos_matrix, ChaosKnobs, ChaosMatrix, ChaosScenario, LISTING1,
+    corpus_job, corpus_matrix_jobs, corpus_matrix_jobs_for, corpus_seed, run_chaos_matrix,
+    ChaosKnobs, ChaosMatrix, ChaosScenario,
 };
 pub use serve::{
     ServeConfig, ServeReport, ShardPool, ShardReport, SiteCtx, SiteJob, SiteOutcome, SiteOutput,

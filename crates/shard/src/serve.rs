@@ -50,11 +50,16 @@
 //! overflow path refuses registrations (`ConfirmDecision::Drop` for their
 //! late confirmations) rather than wedging dispatch.
 
-use jsk_observe::MetricsSnapshot;
+use jsk_browser::browser::{Browser, BrowserConfig};
+use jsk_core::JsKernel;
+use jsk_defenses::registry::DefenseKind;
+use jsk_observe::{handle_of, MetricsSnapshot, Observer};
 use jsk_sim::fault::{FaultPlan, ShardCrash};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -136,6 +141,33 @@ pub struct SiteCtx {
     /// The fleet fault plan, if any (install via
     /// `BrowserConfig::with_fault`).
     pub fault: Option<FaultPlan>,
+}
+
+impl SiteCtx {
+    /// `kind`'s browser configuration for this site: the site's seed, the
+    /// serving shard, the fleet fault plan when there is one, and a fresh
+    /// observer, returned alongside so the run's metrics can be read back.
+    #[must_use]
+    pub fn browser_config(&self, kind: DefenseKind) -> (BrowserConfig, Rc<RefCell<Observer>>) {
+        let mut cfg = kind.config(self.seed).with_shard(self.shard);
+        if let Some(plan) = &self.fault {
+            cfg = cfg.with_fault(plan.clone());
+        }
+        let observer = Observer::new().shared();
+        (cfg.with_observer(handle_of(&observer)), observer)
+    }
+}
+
+/// A finished site run's [`SiteOutput::sim_ms`] and
+/// [`SiteOutput::wedged`]: the virtual milliseconds the browser ran, and
+/// whether its kernel (if it has one) wedged.
+#[must_use]
+pub fn harvest(browser: &Browser) -> (u64, bool) {
+    let sim_ms = browser.now().as_nanos() / 1_000_000;
+    let wedged = browser
+        .mediator_as::<JsKernel>()
+        .is_some_and(|k| k.stats().wedged());
+    (sim_ms, wedged)
 }
 
 /// What one site run produced.
@@ -532,7 +564,7 @@ impl ShardPool {
                 .iter()
                 .filter(|(_, r)| r.outcome == SiteOutcome::Cancelled)
                 .count() as u64;
-            fleet.merge(&st.metrics.with_label("shard", &s.to_string()));
+            fleet.merge(&st.metrics.with_labels(&[("shard", &s.to_string())]));
             shards.push(ShardReport {
                 shard: s as u64,
                 sites: st.sites.into_iter().map(|(_, r)| r).collect(),

@@ -7,8 +7,7 @@
 //! our model, the first visit pays the cold HTTP cache).
 
 use crate::site::{load_result, load_site, SiteProfile};
-use jsk_browser::browser::{Browser, BrowserConfig};
-use jsk_browser::mediator::Mediator;
+use jsk_browser::browser::Browser;
 use jsk_sim::stats::Summary;
 use serde::{Deserialize, Serialize};
 
@@ -66,21 +65,10 @@ pub fn run_subtest_observed(
     }
 }
 
-/// Runs the whole tp6-1 suite with a defense.
-pub fn run_tp6(
-    repeats: usize,
-    cfg: impl Fn(u64) -> BrowserConfig,
-    mediator: impl Fn() -> Box<dyn Mediator>,
-) -> Vec<RaptorRow> {
-    TP6_SITES
-        .iter()
-        .map(|site| run_subtest(site, repeats, |seed| Browser::new(cfg(seed), mediator())))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jsk_browser::browser::BrowserConfig;
     use jsk_browser::mediator::LegacyMediator;
     use jsk_browser::profile::BrowserProfile;
 

@@ -15,7 +15,8 @@
 //! cargo run --release --example analyze_trace -- gate
 //! ```
 
-use jskernel::analyze::corpus::{program_names, run_program, CorpusMode};
+use jskernel::analyze::corpus::{run_program, CorpusMode};
+use jskernel::attacks::corpus_names;
 use jskernel::core::policy::PolicySpec;
 use std::process::ExitCode;
 
@@ -30,7 +31,7 @@ fn gate() -> ExitCode {
     let kernel = CorpusMode::Kernel(deterministic_policy());
     let mut racy = Vec::new();
     let mut entries = Vec::new();
-    for name in program_names() {
+    for name in corpus_names() {
         let report = run_program(&name, &kernel, SEED);
         println!("{name:<16} {}", report.summary());
         if !report.is_race_free() {
@@ -71,7 +72,7 @@ fn main() -> ExitCode {
         "{:<16} {:>6} {:>8} {:>6} {:>9}   first finding",
         "program", "nodes", "accesses", "races", "patterns"
     );
-    for name in program_names() {
+    for name in corpus_names() {
         for (label, mode) in [("raw", &CorpusMode::Raw), ("kernel", &kernel)] {
             let report = run_program(&name, mode, SEED);
             let first = report

@@ -7,62 +7,17 @@
 //! cargo run --example implicit_clock_attack
 //! ```
 
+use jskernel::attacks::listing1;
 use jskernel::browser::mediator::LegacyMediator;
-use jskernel::browser::task::{cb, worker_script};
-use jskernel::browser::{Browser, BrowserConfig, JsValue, Mediator};
+use jskernel::browser::{Browser, BrowserConfig, Mediator};
 use jskernel::browser_profile::BrowserProfile;
-use jskernel::sim::time::SimDuration;
 use jskernel::{JsKernel, KernelConfig};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Runs the Listing 1 attack once; returns the number of worker ticks the
 /// adversary counted while the secret-dependent filter ran.
 fn run_attack(mediator: Box<dyn Mediator>, seed: u64, secret_px: u64) -> f64 {
     let mut browser = Browser::new(BrowserConfig::new(BrowserProfile::chrome(), seed), mediator);
-    browser.boot(move |scope| {
-        // worker.js: for (;;) postMessage(i)  — a steady tick stream.
-        let worker = scope.create_worker(
-            "worker.js",
-            worker_script(|scope| {
-                scope.set_interval(
-                    1.0,
-                    cb(|scope, _| {
-                        scope.post_message(JsValue::from(1.0));
-                    }),
-                );
-            }),
-        );
-        let count = Rc::new(RefCell::new(0u64));
-        let counter = count.clone();
-        scope.set_worker_onmessage(
-            worker,
-            cb(move |_, _| {
-                *counter.borrow_mut() += 1;
-            }),
-        );
-        // Main script: measure the SVG filter between two animation frames.
-        scope.set_timeout(
-            60.0,
-            cb(move |scope, _| {
-                let count = count.clone();
-                scope.request_animation_frame(cb(move |scope, _| {
-                    let before = *count.borrow();
-                    scope.apply_svg_filter(secret_px);
-                    let count = count.clone();
-                    scope.request_animation_frame(cb(move |scope, _| {
-                        let ticks = *count.borrow() - before;
-                        scope.record("ticks", JsValue::from(ticks as f64));
-                    }));
-                }));
-            }),
-        );
-    });
-    browser.run_for(SimDuration::from_millis(400));
-    browser
-        .record_value("ticks")
-        .and_then(JsValue::as_f64)
-        .expect("attack records its tick count")
+    listing1::run(&mut browser, secret_px).expect("attack records its tick count")
 }
 
 fn main() {

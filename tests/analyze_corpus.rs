@@ -6,9 +6,10 @@
 //!   dispatcher's chain/comm edges order everything — zero races on the
 //!   same corpus.
 
-use jskernel::analyze::corpus::{program_names, run_program, CorpusMode, LISTING1};
+use jskernel::analyze::corpus::{run_program, CorpusMode};
 use jskernel::analyze::scanner::PatternKind;
 use jskernel::analyze::AnalysisReport;
+use jskernel::attacks::{corpus_names, LISTING1};
 use jskernel::core::policy::PolicySpec;
 use jskernel::vuln::Cve;
 
@@ -29,7 +30,7 @@ fn raw(name: &str) -> AnalysisReport {
 
 #[test]
 fn corpus_covers_table1_and_listing1() {
-    let names = program_names();
+    let names = corpus_names();
     assert_eq!(names.len(), 13);
     for cve in Cve::all() {
         assert!(names.contains(&cve.id().to_owned()), "{}", cve.id());
@@ -39,7 +40,7 @@ fn corpus_covers_table1_and_listing1() {
 
 #[test]
 fn raw_mode_flags_every_program() {
-    for name in program_names() {
+    for name in corpus_names() {
         let report = raw(&name);
         assert!(
             report.has_findings(),
@@ -52,7 +53,7 @@ fn raw_mode_flags_every_program() {
 #[test]
 fn kernel_deterministic_mode_is_race_free() {
     let spec = deterministic_policy_file();
-    for name in program_names() {
+    for name in corpus_names() {
         let report = run_program(&name, &CorpusMode::Kernel(spec.clone()), SEED);
         assert!(
             report.is_race_free(),

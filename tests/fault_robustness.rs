@@ -5,6 +5,7 @@
 
 use jskernel::attacks::cve_exploits::Exploit2018_5092;
 use jskernel::attacks::harness::run_cve_attack_with_faults;
+use jskernel::attacks::listing1;
 use jskernel::browser::task::{cb, worker_script};
 use jskernel::browser::{Browser, BrowserConfig, JsValue};
 use jskernel::browser_profile::BrowserProfile;
@@ -182,52 +183,6 @@ fn cve_2018_5092_stays_defended_under_faults() {
     }
 }
 
-/// Listing 1's implicit clock (a worker's postMessage stream counting
-/// against a secret-dependent SVG filter) run under a fault plan; returns
-/// the tick count the adversary observes, or None if the measurement never
-/// completed.
-fn listing1_ticks(plan: &FaultPlan, seed: u64, secret_px: u64) -> Option<f64> {
-    let mut browser = faulty_kernel_browser(seed, plan);
-    browser.boot(move |scope| {
-        let worker = scope.create_worker(
-            "worker.js",
-            worker_script(|scope| {
-                scope.set_interval(
-                    1.0,
-                    cb(|scope, _| {
-                        scope.post_message(JsValue::from(1.0));
-                    }),
-                );
-            }),
-        );
-        let count = Rc::new(RefCell::new(0u64));
-        let counter = count.clone();
-        scope.set_worker_onmessage(
-            worker,
-            cb(move |_, _| {
-                *counter.borrow_mut() += 1;
-            }),
-        );
-        scope.set_timeout(
-            60.0,
-            cb(move |scope, _| {
-                let count = count.clone();
-                scope.request_animation_frame(cb(move |scope, _| {
-                    let before = *count.borrow();
-                    scope.apply_svg_filter(secret_px);
-                    let count = count.clone();
-                    scope.request_animation_frame(cb(move |scope, _| {
-                        let ticks = *count.borrow() - before;
-                        scope.record("ticks", JsValue::from(ticks as f64));
-                    }));
-                }));
-            }),
-        );
-    });
-    browser.run_for(SimDuration::from_millis(400));
-    browser.record_value("ticks").and_then(JsValue::as_f64)
-}
-
 #[test]
 fn listing1_implicit_clock_stays_blind_under_faults() {
     for (label, plan) in named_plans() {
@@ -235,8 +190,8 @@ fn listing1_implicit_clock_stays_blind_under_faults() {
         // adversary's tick count is a function of API-call order only, so
         // the secret-dependent filter cost must not show through — faults
         // included.
-        let small = listing1_ticks(&plan, 11, 256 * 256);
-        let big = listing1_ticks(&plan, 11, 2048 * 2048);
+        let small = listing1::run(&mut faulty_kernel_browser(11, &plan), 256 * 256);
+        let big = listing1::run(&mut faulty_kernel_browser(11, &plan), 2048 * 2048);
         assert_eq!(
             small, big,
             "tick counts must not depend on the secret under {label}"
