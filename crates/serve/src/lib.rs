@@ -21,7 +21,7 @@
 //!   site metrics and `serve.*` wire counters, the `/metrics` text page.
 //! * [`transport`] — [`LoopbackTransport`] (deterministic, in-process;
 //!   what CI runs) and [`TcpTransport`]/[`TcpServer`] (`std::net`,
-//!   thread-per-connection over a bounded accept pool).
+//!   served by a pool of long-lived connection workers).
 //! * [`client`] — a typed client over either transport.
 //!
 //! # Quickstart

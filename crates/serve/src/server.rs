@@ -25,7 +25,7 @@
 use crate::protocol::DEFAULT_MAX_FRAME;
 use jsk_observe::{render_text, MetricsSnapshot};
 use jsk_shard::serve::{ServeConfig, ShardPool};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Front-door configuration wrapped around the pool's [`ServeConfig`].
@@ -131,11 +131,41 @@ impl WireStats {
     }
 }
 
-/// Cumulative state shared by every session.
+/// The live wire counters, one atomic per [`WireStats`] field, so a
+/// session counts a frame without taking the server lock. Each is a pure
+/// statistic that publishes no other data, hence `Relaxed` throughout.
 #[derive(Debug, Default)]
-struct Shared {
-    site_metrics: MetricsSnapshot,
-    wire: WireStats,
+pub(crate) struct WireCounters {
+    pub(crate) connections: AtomicU64,
+    pub(crate) frames: AtomicU64,
+    pub(crate) malformed: AtomicU64,
+    pub(crate) submits: AtomicU64,
+    pub(crate) sheds: AtomicU64,
+    pub(crate) cancels: AtomicU64,
+    pub(crate) flushes: AtomicU64,
+    pub(crate) verdicts: AtomicU64,
+    pub(crate) deadline_missed: AtomicU64,
+    pub(crate) dropped_on_close: AtomicU64,
+    pub(crate) drained_sessions: AtomicU64,
+}
+
+impl WireCounters {
+    fn load(&self) -> WireStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        WireStats {
+            connections: get(&self.connections),
+            frames: get(&self.frames),
+            malformed: get(&self.malformed),
+            submits: get(&self.submits),
+            sheds: get(&self.sheds),
+            cancels: get(&self.cancels),
+            flushes: get(&self.flushes),
+            verdicts: get(&self.verdicts),
+            deadline_missed: get(&self.deadline_missed),
+            dropped_on_close: get(&self.dropped_on_close),
+            drained_sessions: get(&self.drained_sessions),
+        }
+    }
 }
 
 /// The long-running server. Wrap it in an [`Arc`] and hand clones to
@@ -146,7 +176,8 @@ pub struct Server {
     pool: ShardPool,
     draining: AtomicBool,
     cancel: AtomicBool,
-    shared: Mutex<Shared>,
+    site_metrics: Mutex<MetricsSnapshot>,
+    wire: WireCounters,
 }
 
 impl Server {
@@ -164,7 +195,8 @@ impl Server {
             pool,
             draining: AtomicBool::new(false),
             cancel: AtomicBool::new(false),
-            shared: Mutex::new(Shared::default()),
+            site_metrics: Mutex::default(),
+            wire: WireCounters::default(),
         })
     }
 
@@ -203,39 +235,40 @@ impl Server {
     /// Cumulative site metrics: every flush's fleet snapshot merged.
     #[must_use]
     pub fn site_metrics(&self) -> MetricsSnapshot {
-        self.state().site_metrics.clone()
+        self.site_metrics_lock().clone()
     }
 
     /// The front door's own counters.
     #[must_use]
     pub fn wire_stats(&self) -> WireStats {
-        self.state().wire
+        self.wire.load()
     }
 
     /// Renders the `/metrics`-style page: site metrics and `serve.*`
     /// wire counters in one exposition.
     #[must_use]
     pub fn metrics_page(&self) -> String {
-        let shared = self.state();
-        let mut merged = shared.site_metrics.clone();
-        merged.merge(&shared.wire.snapshot());
+        let mut merged = self.site_metrics();
+        merged.merge(&self.wire_stats().snapshot());
         render_text(&merged)
     }
 
     /// Folds one flush's fleet metrics into the cumulative view.
     pub(crate) fn merge_site_metrics(&self, snap: &MetricsSnapshot) {
-        self.state().site_metrics.merge(snap);
+        self.site_metrics_lock().merge(snap);
     }
 
-    /// Mutates the wire counters under the state lock.
-    pub(crate) fn with_wire<R>(&self, f: impl FnOnce(&mut WireStats) -> R) -> R {
-        f(&mut self.state().wire)
+    /// Adds `n` to the wire counter `counter` picks.
+    pub(crate) fn count(&self, counter: impl FnOnce(&WireCounters) -> &AtomicU64, n: u64) {
+        counter(&self.wire).fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The shared state, recovered if a holder panicked: it is plain
-    /// counters and metric series, valid between any two updates, so one
-    /// panicking connection cannot take `/metrics` or the drain down.
-    fn state(&self) -> MutexGuard<'_, Shared> {
-        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The cumulative site metrics, recovered if a holder panicked: they
+    /// are metric series, valid between any two merges, so one panicking
+    /// connection cannot take `/metrics` or the drain down.
+    fn site_metrics_lock(&self) -> MutexGuard<'_, MetricsSnapshot> {
+        self.site_metrics
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }

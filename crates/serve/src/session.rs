@@ -4,7 +4,7 @@
 //! produces encoded response frames; the transport's only duties are
 //! moving bytes and honouring [`Session::is_closed`]. The same state
 //! machine therefore backs both the deterministic in-process loopback and
-//! the TCP connection threads — which is what makes "the wire adds no
+//! the TCP connection workers — which is what makes "the wire adds no
 //! semantics" testable.
 //!
 //! The lifecycle: `hello` first (anything else is fatal), then any mix of
@@ -38,7 +38,7 @@ impl Session {
     /// Opens a session against the server (counts as a connection).
     #[must_use]
     pub fn new(server: Arc<Server>) -> Session {
-        server.with_wire(|w| w.connections += 1);
+        server.count(|w| &w.connections, 1);
         let max_frame = server.config().max_frame_len;
         Session {
             server,
@@ -76,7 +76,7 @@ impl Session {
                 Ok(None) => break,
                 Ok(Some(payload)) => match parse_request(&payload) {
                     Ok(req) => {
-                        self.server.with_wire(|w| w.frames += 1);
+                        self.server.count(|w| &w.frames, 1);
                         for resp in self.handle(req) {
                             out.push(encode_frame(&crate::protocol::response_payload(&resp)));
                         }
@@ -85,13 +85,13 @@ impl Session {
                         // Well-framed but not a request: the peer speaks
                         // something else. Fatal for the connection — and
                         // only the connection.
-                        self.server.with_wire(|w| w.malformed += 1);
+                        self.server.count(|w| &w.malformed, 1);
                         out.push(error_frame("request", &e.to_string()));
                         self.close_dropping_queue();
                     }
                 },
                 Err(e) => {
-                    self.server.with_wire(|w| w.malformed += 1);
+                    self.server.count(|w| &w.malformed, 1);
                     out.push(error_frame("frame", &e.to_string()));
                     self.close_dropping_queue();
                 }
@@ -125,7 +125,7 @@ impl Session {
         out.push(encode_frame(&crate::protocol::response_payload(
             &Response::Bye,
         )));
-        self.server.with_wire(|w| w.drained_sessions += 1);
+        self.server.count(|w| &w.drained_sessions, 1);
         self.closed = true;
         out
     }
@@ -133,7 +133,7 @@ impl Session {
     fn close_dropping_queue(&mut self) {
         let dropped = self.queue.len() as u64;
         if dropped > 0 {
-            self.server.with_wire(|w| w.dropped_on_close += dropped);
+            self.server.count(|w| &w.dropped_on_close, dropped);
             self.queue.clear();
         }
         self.closed = true;
@@ -190,13 +190,13 @@ impl Session {
                 }
                 let cap = self.server.config().queue_capacity;
                 if cap > 0 && self.queue.len() >= cap {
-                    self.server.with_wire(|w| w.sheds += 1);
+                    self.server.count(|w| &w.sheds, 1);
                     return vec![Response::Shed {
                         site: sub.site,
                         stage: "queue".into(),
                     }];
                 }
-                self.server.with_wire(|w| w.submits += 1);
+                self.server.count(|w| &w.submits, 1);
                 let site = sub.site.clone();
                 self.queue.push(sub);
                 vec![Response::Queued {
@@ -214,7 +214,7 @@ impl Session {
                         message: format!("no queued submission for site {site:?}"),
                     }];
                 }
-                self.server.with_wire(|w| w.cancels += removed);
+                self.server.count(|w| &w.cancels, removed);
                 vec![Response::Cancelled { site, removed }]
             }
             Request::Flush => self.flush(),
@@ -248,7 +248,7 @@ impl Session {
             .pool()
             .serve_with_cancel(jobs, self.server.cancel_flag());
         self.server.merge_site_metrics(&report.fleet_metrics);
-        self.server.with_wire(|w| w.flushes += 1);
+        self.server.count(|w| &w.flushes, 1);
 
         let mut out = Vec::with_capacity(subs.len() + 1);
         let (mut served, mut shed, mut quarantined, mut cancelled, mut missed) = (0, 0, 0, 0, 0);
@@ -263,7 +263,7 @@ impl Session {
                 } => {
                     if sub.deadline_ms > 0 && row.completed_at_ms > sub.deadline_ms {
                         missed += 1;
-                        self.server.with_wire(|w| w.deadline_missed += 1);
+                        self.server.count(|w| &w.deadline_missed, 1);
                         out.push(Response::Error {
                             code: "deadline".into(),
                             message: format!(
@@ -273,7 +273,7 @@ impl Session {
                         });
                     } else {
                         served += 1;
-                        self.server.with_wire(|w| w.verdicts += 1);
+                        self.server.count(|w| &w.verdicts, 1);
                         out.push(Response::Verdict {
                             site: row.site.clone(),
                             seed: row.seed,
@@ -289,7 +289,7 @@ impl Session {
                 }
                 SiteOutcome::Shed => {
                     shed += 1;
-                    self.server.with_wire(|w| w.sheds += 1);
+                    self.server.count(|w| &w.sheds, 1);
                     out.push(Response::Shed {
                         site: row.site.clone(),
                         stage: "shard".into(),

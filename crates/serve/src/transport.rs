@@ -6,15 +6,18 @@
 //!   write runs the session state machine inline and buffers the
 //!   responses for the next read. No threads, no sockets, no timing —
 //!   every protocol test and the CI smoke run are deterministic.
-//! * [`TcpTransport`] / [`TcpServer`] — `std::net` over
-//!   thread-per-connection with a bounded accept pool. The accept thread
-//!   blocks in `accept`, so a connection is served the moment it
-//!   arrives; each accept joins the connection threads that have
-//!   finished, so memory stays flat however many connections were
-//!   served. [`TcpServer::shutdown`] begins the drain and dials the
-//!   listener once to wake the accept, then drains every live session
-//!   (delivers queued results, says `bye`), joins its threads, and hands
-//!   back the final metrics page.
+//! * [`TcpTransport`] / [`TcpServer`] — `std::net` over a pool of
+//!   long-lived connection workers. The accept thread blocks in
+//!   `accept`, so a connection is served the moment it arrives, and
+//!   hands each socket to an idle worker; it spawns a worker only when
+//!   none is idle, so the pool grows to the peak number of concurrent
+//!   connections (at most `max_conns`) however many connections are
+//!   served. A worker answers each batch of request frames with one
+//!   write, and a client that stops reading is cut off after a fixed
+//!   write deadline. [`TcpServer::shutdown`] begins the drain and dials
+//!   the listener once to wake the accept, then drains every live
+//!   session (delivers queued results, says `bye`), joins its threads,
+//!   and hands back the final metrics page.
 //!
 //! Both feed the identical [`Session`]; the loopback-vs-direct corpus
 //! test is what entitles the TCP path to that trust.
@@ -25,8 +28,7 @@ use crate::session::Session;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -161,43 +163,47 @@ impl ClientConn for TcpConn {
 
 /// The back-off after a failed `accept` (so a persistent EMFILE cannot
 /// spin the accept thread), and the read timeout on which connection
-/// threads notice a drain. Neither delays a connection or a request:
+/// workers notice a drain. Neither delays a connection or a request:
 /// `accept` and `read` return the moment there is something to return.
 const POLL: Duration = Duration::from_millis(10);
 
-/// Join handles of the connection threads that may still be running.
-type Registry = Arc<Mutex<Vec<JoinHandle<()>>>>;
+/// How long one write to a client may stall before its session is
+/// closed: a client that stops reading loses its connection instead of
+/// pinning a worker, and the drain that joins it, for good.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// The TCP front door: a bound listener, an accept loop, and a bounded
-/// pool of connection threads.
+/// The capacity a worker's batch buffer keeps between batches; one that
+/// grew past it for an outsized batch gives the excess back.
+const BATCH_KEEP: usize = 64 * 1024;
+
+/// The TCP front door: a bound listener, an accept loop, and a pool of
+/// long-lived connection workers.
 pub struct TcpServer {
     server: Arc<Server>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    conns: Registry,
+    pool: Arc<Pool>,
 }
 
 impl TcpServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting for `server`.
+    /// accepting for `server`. No connection worker exists until the
+    /// first connection arrives.
     pub fn bind(server: Arc<Server>, addr: impl ToSocketAddrs) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let conns = Registry::default();
-        let live = Arc::new(AtomicUsize::new(0));
+        let pool = Arc::new(Pool::default());
 
         let accept = {
             let server = server.clone();
-            let conns = conns.clone();
-            std::thread::spawn(move || {
-                accept_loop(&listener, &server, &conns, &live);
-            })
+            let pool = pool.clone();
+            std::thread::spawn(move || accept_loop(&listener, &server, &pool))
         };
         Ok(TcpServer {
             server,
             addr,
             accept: Some(accept),
-            conns,
+            pool,
         })
     }
 
@@ -208,8 +214,9 @@ impl TcpServer {
     }
 
     /// Graceful drain: stop accepting, finish in-flight work, deliver
-    /// queued results and `bye` to every live connection, join all
-    /// threads, and return the final metrics page — the flush of record.
+    /// queued results and `bye` to every live connection (one accepted
+    /// but not yet claimed by a worker included), join all threads, and
+    /// return the final metrics page — the flush of record.
     ///
     /// The accept thread is blocked in `accept`, so once the drain has
     /// begun the server dials itself to wake it.
@@ -222,9 +229,7 @@ impl TcpServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles =
-            std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
-        for h in handles {
+        for h in self.pool.close() {
             let _ = h.join();
         }
         self.server.metrics_page()
@@ -242,57 +247,128 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
     SocketAddr::new(ip, bound.port())
 }
 
-/// Blocks in `accept` until the server drains; spawns one thread per
-/// accepted connection, refusing past the configured bound. A
-/// connection accepted once the drain has begun (the wake-up dial among
-/// them) is dropped unserved. Accept errors (EMFILE, ECONNABORTED, ...)
-/// never end the loop: it backs off [`POLL`] and accepts again.
-fn accept_loop(
-    listener: &TcpListener,
-    server: &Arc<Server>,
-    conns: &Registry,
-    live: &Arc<AtomicUsize>,
-) {
+/// Blocks in `accept` until the server drains, handing each accepted
+/// connection to the worker pool. A connection accepted once the drain
+/// has begun (the wake-up dial among them) is dropped unserved. Accept
+/// errors (EMFILE, ECONNABORTED, ...) never end the loop: it backs off
+/// [`POLL`] and accepts again.
+fn accept_loop(listener: &TcpListener, server: &Arc<Server>, pool: &Arc<Pool>) {
     while !server.is_draining() {
         match listener.accept() {
             Ok(_) if server.is_draining() => return,
-            Ok((mut stream, _)) => {
-                let max = server.config().max_conns;
-                if max > 0 && live.load(Ordering::Acquire) >= max {
-                    refuse_busy(stream);
-                    continue;
-                }
-                live.fetch_add(1, Ordering::AcqRel);
-                let server = server.clone();
-                let live = live.clone();
-                let handle = std::thread::spawn(move || {
-                    conn_thread(&server, &mut stream);
-                    // Free the slot before the socket closes, so a client
-                    // that has seen its connection end can reconnect
-                    // without being refused as busy.
-                    live.fetch_sub(1, Ordering::AcqRel);
-                    drop(stream);
-                });
-                let mut conns = conns.lock().unwrap_or_else(PoisonError::into_inner);
-                reap_finished(&mut conns);
-                conns.push(handle);
-            }
+            Ok((stream, _)) => pool.dispatch(server, stream),
             Err(_) => std::thread::sleep(POLL),
         }
     }
 }
 
-/// Joins and removes every connection thread that has already returned,
-/// so the registry (and the stacks of joinable threads) stays bounded by
-/// the live connections rather than growing with every one served.
-fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
-    let mut i = 0;
-    while i < conns.len() {
-        if conns[i].is_finished() {
-            let _ = conns.swap_remove(i).join();
-        } else {
-            i += 1;
+/// The connection workers. Every worker is busy with one connection or
+/// idle; a busy worker holds one of the `live` slots that `max_conns`
+/// bounds, so the pool never outgrows the peak number of concurrent
+/// connections.
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled when a socket is queued or the pool closes.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    /// Accepted sockets not yet claimed; each is promised to a worker
+    /// that was idle when it was queued.
+    queue: VecDeque<TcpStream>,
+    /// Idle workers that no queued socket is promised to.
+    idle: usize,
+    /// Connections being served or queued.
+    live: usize,
+    /// Set by `shutdown`: a worker with no socket to claim exits.
+    closed: bool,
+    /// Every worker spawned.
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Pool {
+    /// The pool state, recovered if a holder panicked: every update
+    /// under the lock is a plain field write, so the state is valid
+    /// between any two.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands an accepted socket to an idle worker, or to a new one when
+    /// none is idle; past the configured bound the client is refused
+    /// `busy` instead.
+    fn dispatch(self: &Arc<Pool>, server: &Arc<Server>, stream: TcpStream) {
+        let max = server.config().max_conns;
+        let mut st = self.lock();
+        if max > 0 && st.live >= max {
+            drop(st);
+            refuse_busy(stream);
+            return;
         }
+        st.live += 1;
+        if st.idle > 0 {
+            st.idle -= 1;
+            st.queue.push_back(stream);
+            self.ready.notify_one();
+            return;
+        }
+        let worker = {
+            let (pool, server) = (self.clone(), server.clone());
+            std::thread::Builder::new().spawn(move || pool.work(&server, stream))
+        };
+        match worker {
+            Ok(h) => st.workers.push(h),
+            // No thread to serve it: the socket went down with the
+            // closure, so the client sees its connection close.
+            Err(_) => st.live -= 1,
+        }
+    }
+
+    /// One worker: serves `first`, then each socket handed to it, until
+    /// the pool closes.
+    fn work(&self, server: &Arc<Server>, first: TcpStream) {
+        let mut batch = Vec::new();
+        let mut next = Some(first);
+        while let Some(stream) = next {
+            serve_conn(server, stream, &mut batch, || self.release());
+            next = self.claim();
+        }
+    }
+
+    /// A session is over: free its slot and mark its worker idle.
+    fn release(&self) {
+        let mut st = self.lock();
+        st.live -= 1;
+        st.idle += 1;
+    }
+
+    /// Waits for the next socket; `None` once the pool has closed and no
+    /// socket is left to claim.
+    fn claim(&self) -> Option<TcpStream> {
+        let mut st = self.lock();
+        loop {
+            if let Some(stream) = st.queue.pop_front() {
+                return Some(stream);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Closes the pool, wakes every idle worker, and hands back the
+    /// workers to join.
+    fn close(&self) -> Vec<JoinHandle<()>> {
+        let workers = {
+            let mut st = self.lock();
+            st.closed = true;
+            std::mem::take(&mut st.workers)
+        };
+        self.ready.notify_all();
+        workers
     }
 }
 
@@ -306,47 +382,69 @@ fn refuse_busy(mut stream: TcpStream) {
     let _ = stream.write_all(&encode_frame(&payload));
 }
 
-/// One connection thread: shuttle bytes between the socket and the
-/// session until the peer leaves, the session dies, or a drain begins.
-fn conn_thread(server: &Arc<Server>, stream: &mut TcpStream) {
+/// Serves one connection: shuttles bytes between the socket and the
+/// session until the peer leaves, the session closes, or a drain begins.
+/// `release` runs once the session is over and before its final frames
+/// (`bye`, a fatal `error`) are written, so a client that has read them
+/// and redials finds this worker idle. The socket closes on return.
+fn serve_conn(
+    server: &Arc<Server>,
+    mut stream: TcpStream,
+    batch: &mut Vec<u8>,
+    release: impl FnOnce(),
+) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut session = Session::new(server.clone());
     let mut buf = [0u8; 4096];
-    loop {
+    let last = loop {
+        let frames = if server.is_draining() {
+            session.drain()
+        } else {
+            match stream.read(&mut buf) {
+                Ok(0) => {
+                    session.on_close();
+                    Vec::new()
+                }
+                Ok(n) => session.on_bytes(&buf[..n]),
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    continue
+                }
+                Err(_) => {
+                    session.on_close();
+                    Vec::new()
+                }
+            }
+        };
         if session.is_closed() {
-            return;
+            break frames;
         }
-        if server.is_draining() {
-            for frame in session.drain() {
-                if stream.write_all(&frame).is_err() {
-                    return;
-                }
-            }
-            return;
+        if write_batch(&mut stream, batch, &frames).is_err() {
+            session.on_close();
+            break Vec::new();
         }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                session.on_close();
-                return;
-            }
-            Ok(n) => {
-                for frame in session.on_bytes(&buf[..n]) {
-                    if stream.write_all(&frame).is_err() {
-                        session.on_close();
-                        return;
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => {
-                session.on_close();
-                return;
-            }
-        }
+    };
+    release();
+    let _ = write_batch(&mut stream, batch, &last);
+}
+
+/// Sends a batch of frames with one `write_all`, assembled in `batch`,
+/// the worker's reused buffer.
+fn write_batch(stream: &mut TcpStream, batch: &mut Vec<u8>, frames: &[Vec<u8>]) -> io::Result<()> {
+    if frames.is_empty() {
+        return Ok(());
     }
+    for frame in frames {
+        batch.extend_from_slice(frame);
+    }
+    let sent = stream.write_all(batch);
+    batch.clear();
+    batch.shrink_to(BATCH_KEEP);
+    sent
 }
 
 #[cfg(test)]
@@ -355,22 +453,47 @@ mod tests {
     use crate::client::Client;
     use crate::server::ServerConfig;
 
-    #[test]
-    fn finished_connection_threads_are_reaped() {
-        let tcp = TcpServer::bind(Server::new(ServerConfig::new(1, 1)), "127.0.0.1:0")
-            .expect("bind ephemeral");
-        let transport = TcpTransport::new(tcp.local_addr()).expect("transport");
-        for _ in 0..256 {
+    /// Runs `cycles` connect → `hello` → `bye` conversations.
+    fn churn(addr: SocketAddr, cycles: usize) {
+        let transport = TcpTransport::new(addr).expect("transport");
+        for _ in 0..cycles {
             let mut client = Client::connect(&transport).expect("tcp connect + hello");
             client.bye().expect("clean close");
         }
-        // Each accept reaps every thread that has returned; only the last
-        // few connections can still be winding down.
-        let held = tcp.conns.lock().expect("conn registry").len();
-        assert!(
-            held <= 8,
-            "registry holds {held} handles after 256 connections"
-        );
+    }
+
+    fn workers(tcp: &TcpServer) -> usize {
+        tcp.pool.lock().workers.len()
+    }
+
+    #[test]
+    fn sequential_connections_are_served_by_one_worker() {
+        let tcp = TcpServer::bind(Server::new(ServerConfig::new(1, 1)), "127.0.0.1:0")
+            .expect("bind ephemeral");
+        assert_eq!(workers(&tcp), 0, "bind spawns no worker");
+        churn(tcp.local_addr(), 256);
+        // The worker goes idle before it writes `bye`, so every redial
+        // finds it waiting.
+        assert_eq!(workers(&tcp), 1);
+        tcp.shutdown();
+    }
+
+    #[test]
+    fn two_concurrent_clients_never_grow_the_pool_past_two() {
+        let tcp = TcpServer::bind(Server::new(ServerConfig::new(1, 1)), "127.0.0.1:0")
+            .expect("bind ephemeral");
+        let addr = tcp.local_addr();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    churn(addr, 128);
+                });
+            }
+        });
+        let grown = workers(&tcp);
+        assert!((1..=2).contains(&grown), "{grown} workers for 2 clients");
         tcp.shutdown();
     }
 

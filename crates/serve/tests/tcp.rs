@@ -1,14 +1,20 @@
 //! The TCP front door end to end: bind an ephemeral port, run the full
 //! handshake/submit/flush/metrics/bye conversation over real sockets,
 //! check that shutdown drains a live connection instead of cutting it
-//! off, that it wakes an idle accept thread, and that connections past
-//! `max_conns` are refused `busy`.
+//! off, that it wakes an idle accept thread, that connections past
+//! `max_conns` are refused `busy`, and that a client that stops reading
+//! is cut off instead of pinning its worker.
 
-use jsk_serve::protocol::Response;
-use jsk_serve::{Client, Server, ServerConfig, Submission, TcpServer, TcpTransport};
+use jsk_serve::protocol::{
+    encode_frame, parse_response, request_payload, FrameDecoder, Request, Response,
+    PROTOCOL_VERSION,
+};
+use jsk_serve::{Client, Server, ServerConfig, Submission, TcpServer, TcpTransport, WireStats};
 use jsk_workloads::schedule::corpus_schedules;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn one_submission() -> Submission {
     // CVE-2017-7843 is the cheapest corpus program (50 virtual ms).
@@ -150,4 +156,90 @@ fn connections_past_max_conns_are_refused_busy() {
     let mut third = Client::connect(&transport).expect("third client completes hello");
     third.bye().expect("clean close");
     shutdown_within_deadline(tcp);
+}
+
+/// `metrics` requests a stalled client sends: their answers are many
+/// times what the loopback socket buffers hold, so the server's writes
+/// must block.
+const FLOOD: usize = 50_000;
+
+#[test]
+fn a_client_that_stops_reading_is_cut_off_by_the_write_deadline() {
+    let server = Server::new(ServerConfig::new(1, 1));
+    let tcp = TcpServer::bind(server.clone(), "127.0.0.1:0").expect("bind ephemeral");
+    let mut stream = TcpStream::connect(tcp.local_addr()).expect("connect");
+
+    // Queue two submissions and read their acks, so both are held.
+    let mut opening = encode_frame(&request_payload(&Request::Hello {
+        version: PROTOCOL_VERSION,
+    }));
+    for seed in [1, 2] {
+        let sub = one_submission();
+        opening.extend(encode_frame(&request_payload(&Request::SubmitSite {
+            site: format!("site-{seed}"),
+            seed,
+            policy: sub.policy,
+            schedule: sub.schedule,
+            deadline_ms: 0,
+        })));
+    }
+    stream.write_all(&opening).expect("write opening");
+    let mut decoder = FrameDecoder::new(0);
+    let mut acks = Vec::new();
+    let mut buf = [0u8; 4096];
+    while acks.len() < 3 {
+        if let Some(p) = decoder.next_payload().expect("well-framed") {
+            acks.push(parse_response(&p).expect("a response"));
+            continue;
+        }
+        let n = stream.read(&mut buf).expect("read acks");
+        assert!(n > 0, "server closed during the opening");
+        decoder.push(&buf[..n]);
+    }
+    assert!(
+        matches!(
+            acks.as_slice(),
+            [
+                Response::HelloOk { .. },
+                Response::Queued { depth: 1, .. },
+                Response::Queued { depth: 2, .. }
+            ]
+        ),
+        "{acks:?}"
+    );
+
+    // Then flood without reading. The write ends once the server has
+    // taken every byte or has closed the connection.
+    let metrics = encode_frame(&request_payload(&Request::Metrics));
+    let _ = stream.write_all(&metrics.repeat(FLOOD));
+
+    // The deadline closes the session and drops both queued submissions.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.wire_stats().dropped_on_close < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the stalled session is still open after 5 s: {:?}",
+            server.wire_stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let page = shutdown_within_deadline(tcp);
+
+    let stats = server.wire_stats();
+    assert!((3..=3 + FLOOD as u64).contains(&stats.frames), "{stats:?}");
+    assert_eq!(
+        stats,
+        WireStats {
+            connections: 1,
+            frames: stats.frames,
+            submits: 2,
+            dropped_on_close: 2,
+            ..WireStats::default()
+        }
+    );
+    assert!(page.contains("serve.dropped_on_close 2"), "{page}");
+    assert!(
+        page.contains(&format!("serve.frames {}", stats.frames)),
+        "{page}"
+    );
 }
