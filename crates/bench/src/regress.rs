@@ -251,8 +251,9 @@ pub fn compare_runs(baseline: &BenchRun, fresh: &BenchRun, tol_pct: f64) -> Vec<
 fn compare_metrics(target: &str, baseline: &BenchRun, fresh: &BenchRun, out: &mut Vec<Finding>) {
     match (&baseline.meta.observe, &fresh.meta.observe) {
         (Some(base), Some(new)) => {
-            for (name, base_v) in &base.counters {
-                match new.counters.get(name) {
+            let (base, new) = (base.counters(), new.counters());
+            for (name, base_v) in &base {
+                match new.get(name) {
                     None => out.push(Finding::fatal(
                         target,
                         format!("metric counter `{name}` missing from fresh run"),
@@ -264,8 +265,8 @@ fn compare_metrics(target: &str, baseline: &BenchRun, fresh: &BenchRun, out: &mu
                     Some(_) => {}
                 }
             }
-            for name in new.counters.keys() {
-                if !base.counters.contains_key(name) {
+            for name in new.keys() {
+                if !base.contains_key(name) {
                     out.push(Finding::note(
                         target,
                         format!("metric counter `{name}` not in baseline — regenerate it"),

@@ -38,7 +38,7 @@ pub mod sym;
 pub mod text;
 
 pub use chrome::{Phase, TraceEvent, TraceSummary};
-pub use metrics::{base_name, GaugeSnapshot, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{GaugeSnapshot, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use observer::{handle_of, Observer};
 pub use subscriber::{ObsHandle, Subscriber};
 pub use sym::{Interner, Sym};

@@ -10,65 +10,73 @@
 //! site.runs{policy="JSKernel",shard="0",site="CVE-2018-5092"} 1
 //! ```
 //!
-//! Series names arrive with **appended label groups** — labelling a
-//! snapshot twice nests (`name{site=x}{shard=0}`, see
-//! [`MetricsSnapshot::with_labels`]) — and the exposition normalizes every
-//! group chain into a single label set with keys sorted and values
-//! quoted. Counters render as one line; gauges render their last value
-//! plus a `_max` high-water series; histograms render cumulative
-//! `_bucket{le=...}` lines over the registry's power-of-two buckets plus
-//! `_sum`, `_count`, and `_max`.
+//! This is one of the two places a series' name is spelled out (the
+//! other is the snapshot's JSON form): a snapshot carries each series as
+//! a name id and a label-set id, and the page reads the labels structured
+//! from that id — every group a `with_labels` call nested, flattened into
+//! one set with keys sorted. No label text is ever parsed back, so a
+//! label value cannot turn into extra labels, and each value is escaped
+//! as the text format requires (`\` → `\\`, `"` → `\"`, newline →
+//! `\n`), so it cannot end its line either. Counters render as one
+//! line; gauges render their last value plus a `_max` high-water series;
+//! histograms render cumulative `_bucket{le=...}` lines over the
+//! registry's power-of-two buckets plus `_sum`, `_count`, and `_max`.
 //!
-//! The output is a pure function of the snapshot: maps are `BTreeMap`s,
-//! label keys are sorted, and nothing reads a clock — so two scrapes of
-//! equal snapshots are byte-identical, which is how the serve-layer tests
-//! diff a wire-scraped page against a directly-harvested one.
+//! The output is a pure function of the snapshot: series are ordered by
+//! their JSON-form key (`name{k=v,..}{k=v}`), label keys are sorted,
+//! and nothing
+//! reads a clock — so two scrapes of equal snapshots are byte-identical,
+//! which is how the serve-layer tests diff a wire-scraped page against a
+//! directly-harvested one.
 
-use crate::metrics::{base_name, MetricsSnapshot, HISTOGRAM_BUCKETS};
+use crate::metrics::{series_table, Family, MetricsSnapshot, SeriesTable, HISTOGRAM_BUCKETS};
 use std::fmt::Write as _;
 
-/// Splits a series name into its base name and a flattened, sorted label
-/// list: `"site.runs{site=a,policy=b}{shard=0}"` becomes
-/// `("site.runs", [(policy,b), (shard,0), (site,a)])`. Malformed label
-/// text (no `=`) is kept as a valueless pair rather than dropped, so no
-/// series can hide from the page.
-#[must_use]
-pub fn split_labels(name: &str) -> (String, Vec<(String, String)>) {
-    let base = base_name(name).to_owned();
-    let mut labels = Vec::new();
-    for group in name[base.len()..].split('}') {
-        let group = group.trim_start_matches('{');
-        if group.is_empty() {
-            continue;
-        }
-        for pair in group.split(',') {
-            match pair.split_once('=') {
-                Some((k, v)) => labels.push((k.to_owned(), v.to_owned())),
-                None => labels.push((pair.to_owned(), String::new())),
-            }
-        }
-    }
-    labels.sort();
-    (base, labels)
+/// One rendered series: its metric name, its sorted labels, its value.
+type Row<'t, 'v, V> = (&'t str, Vec<(&'t str, &'t str)>, &'v V);
+
+/// A family's series in JSON-key order, each with its structured labels.
+fn rows<'t, 'v, V: Clone>(table: &'t SeriesTable, family: &'v Family<V>) -> Vec<Row<'t, 'v, V>> {
+    let mut keyed: Vec<(String, Row<'t, 'v, V>)> = family
+        .rows()
+        .iter()
+        .map(|(s, v)| (table.key(*s), (table.name(*s), table.labels(*s), v)))
+        .collect();
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    keyed.into_iter().map(|(_, row)| row).collect()
 }
 
-/// Renders a normalized label set, `le` (when given) first-class among
-/// the sorted keys: `{le="7",shard="0"}`. Empty sets render as nothing.
-fn render_labels(labels: &[(String, String)], le: Option<&str>) -> String {
-    let mut pairs: Vec<(String, String)> = labels.to_vec();
+/// Renders a label set, `le` (when given) first-class among the sorted
+/// keys, values escaped: `{le="7",shard="0"}`. Empty sets render as
+/// nothing.
+fn render_labels(labels: &[(&str, &str)], le: Option<&str>) -> String {
+    let mut pairs = labels.to_vec();
     if let Some(bound) = le {
-        pairs.push(("le".to_owned(), bound.to_owned()));
-        pairs.sort();
+        pairs.push(("le", bound));
+        pairs.sort_unstable();
     }
     if pairs.is_empty() {
         return String::new();
     }
-    let body = pairs
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{v}\""))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{{{body}}}")
+    let mut out = String::from("{");
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        for c in v.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    out.push('}');
+    out
 }
 
 /// Emits a `# TYPE` header when `base` differs from the previous series'
@@ -98,25 +106,23 @@ fn bucket_bound(i: usize) -> String {
 /// empty snapshot renders to the bare header line.
 #[must_use]
 pub fn render_text(snap: &MetricsSnapshot) -> String {
+    let table = series_table();
     let mut out = String::from("# jsk-observe text exposition v1\n");
     let mut last = String::new();
-    for (name, value) in &snap.counters {
-        let (base, labels) = split_labels(name);
-        type_header(&mut out, &mut last, &base, "counter");
+    for (base, labels, value) in rows(&table, &snap.counters) {
+        type_header(&mut out, &mut last, base, "counter");
         let _ = writeln!(out, "{base}{} {value}", render_labels(&labels, None));
     }
     last.clear();
-    for (name, g) in &snap.gauges {
-        let (base, labels) = split_labels(name);
-        type_header(&mut out, &mut last, &base, "gauge");
+    for (base, labels, g) in rows(&table, &snap.gauges) {
+        type_header(&mut out, &mut last, base, "gauge");
         let set = render_labels(&labels, None);
         let _ = writeln!(out, "{base}{set} {}", g.last);
         let _ = writeln!(out, "{base}_max{set} {}", g.max);
     }
     last.clear();
-    for (name, h) in &snap.histograms {
-        let (base, labels) = split_labels(name);
-        type_header(&mut out, &mut last, &base, "histogram");
+    for (base, labels, h) in rows(&table, &snap.histograms) {
+        type_header(&mut out, &mut last, base, "histogram");
         let set = render_labels(&labels, None);
         let mut cumulative = 0u64;
         for (i, count) in h.buckets.iter().enumerate() {
@@ -137,31 +143,32 @@ pub fn render_text(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::GaugeSnapshot;
 
     #[test]
-    fn splits_nested_label_groups_into_one_sorted_set() {
-        let (base, labels) = split_labels("site.runs{site=a,policy=b}{shard=0}");
-        assert_eq!(base, "site.runs");
-        assert_eq!(
-            labels,
-            vec![
-                ("policy".to_owned(), "b".to_owned()),
-                ("shard".to_owned(), "0".to_owned()),
-                ("site".to_owned(), "a".to_owned()),
-            ]
+    fn nested_label_groups_render_as_one_sorted_set() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counter_add("plain", 1);
+        let page = render_text(
+            &snap
+                .with_labels(&[("site", "a"), ("policy", "b")])
+                .with_labels(&[("shard", "0")]),
         );
-        assert_eq!(split_labels("plain").0, "plain");
-        assert!(split_labels("plain").1.is_empty());
+        assert!(
+            page.contains("plain{policy=\"b\",shard=\"0\",site=\"a\"} 1\n"),
+            "{page}"
+        );
+        assert!(render_text(&snap).contains("plain 1\n"));
     }
 
     #[test]
     fn renders_counters_gauges_and_histograms() {
-        let mut snap = MetricsSnapshot::default();
-        snap.counters.insert("a.runs{shard=1}{site=x}".into(), 3);
-        snap.counters.insert("a.runs{shard=2}{site=x}".into(), 4);
-        snap.gauges
-            .insert("a.depth".into(), GaugeSnapshot { last: 2, max: 9 });
+        let mut strings = crate::Interner::new();
+        let mut reg = crate::MetricsRegistry::new();
+        reg.gauge_set(strings.intern("a.depth"), 9);
+        reg.gauge_set(strings.intern("a.depth"), 2);
+        let mut snap = reg.snapshot(&strings);
+        snap.counter_add("a.runs{shard=1}{site=x}", 3);
+        snap.counter_add("a.runs{shard=2}{site=x}", 4);
         let page = render_text(&snap);
         assert!(page.starts_with("# jsk-observe text exposition v1\n"));
         assert!(page.contains("# TYPE a.runs counter\n"));
@@ -191,11 +198,25 @@ mod tests {
     #[test]
     fn rendering_is_deterministic() {
         let mut a = MetricsSnapshot::default();
-        a.counters.insert("x{shard=0}".into(), 1);
-        a.counters.insert("x{shard=1}".into(), 2);
+        a.counter_add("x{shard=0}", 1);
+        a.counter_add("x{shard=1}", 2);
         let mut b = MetricsSnapshot::default();
-        b.counters.insert("x{shard=1}".into(), 2);
-        b.counters.insert("x{shard=0}".into(), 1);
+        b.counter_add("x{shard=1}", 2);
+        b.counter_add("x{shard=0}", 1);
         assert_eq!(render_text(&a), render_text(&b));
+    }
+
+    #[test]
+    fn label_values_are_escaped_and_never_split() {
+        let mut snap = MetricsSnapshot::default();
+        snap.counter_add("site.runs", 1);
+        let hostile = "x\"} 1\nforged_total 42\n#,a=b\\";
+        let page = render_text(&snap.with_labels(&[("site", hostile)]));
+        assert_eq!(
+            page,
+            "# jsk-observe text exposition v1\n\
+             # TYPE site.runs counter\n\
+             site.runs{site=\"x\\\"} 1\\nforged_total 42\\n#,a=b\\\\\"} 1\n"
+        );
     }
 }

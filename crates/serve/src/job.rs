@@ -203,7 +203,7 @@ mod tests {
         ));
         assert!(a
             .fleet_metrics
-            .counters
+            .counters()
             .keys()
             .any(|k| k.contains("{site=CVE-2017-7843,policy=kernel}{shard=0}")));
     }

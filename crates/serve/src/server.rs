@@ -44,9 +44,11 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A front door over `shards` kernel shards driven by up to `workers`
-    /// pool workers per flush (the flushing connection's thread is one of
-    /// them), with library defaults: 64-deep connection queues, 1 MiB
+    /// A front door over `shards` kernel shards and `workers` seats for
+    /// the threads that run sites, across the whole server: a connection
+    /// that has flushed holds one seat until it closes and serves its
+    /// flushes on its own thread, and a flush adds helper threads only on
+    /// free seats. Library defaults: 64-deep connection queues, 1 MiB
     /// frames, 32 concurrent connections.
     #[must_use]
     pub fn new(shards: usize, workers: usize) -> ServerConfig {
@@ -113,9 +115,7 @@ impl WireStats {
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        let mut c = |name: &str, v: u64| {
-            snap.counters.insert(name.to_owned(), v);
-        };
+        let mut c = |name: &str, v: u64| snap.counter_add(name, v);
         c("serve.connections", self.connections);
         c("serve.frames", self.frames);
         c("serve.malformed", self.malformed);
@@ -212,8 +212,8 @@ impl Server {
         &self.pool
     }
 
-    /// The cancel flag a flush hands to
-    /// [`ShardPool::serve_with_cancel`] — set once the server drains.
+    /// The cancel flag a flush hands to the pool
+    /// ([`ShardPool::serve_seated`]) — set once the server drains.
     #[must_use]
     pub fn cancel_flag(&self) -> &AtomicBool {
         &self.cancel

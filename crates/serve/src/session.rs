@@ -21,7 +21,7 @@ use crate::protocol::{
     encode_frame, parse_request, FrameDecoder, Request, Response, PROTOCOL_VERSION,
 };
 use crate::server::Server;
-use jsk_shard::serve::{ServeReport, SiteOutcome};
+use jsk_shard::serve::{Seat, ServeReport, SiteOutcome};
 use std::sync::Arc;
 
 /// One connection's state. Built by [`Session::new`]; driven by a
@@ -30,6 +30,10 @@ pub struct Session {
     server: Arc<Server>,
     decoder: FrameDecoder,
     queue: Vec<Submission>,
+    /// The pool seat this connection's thread serves on, taken at its
+    /// first non-empty flush and given back when the session closes or
+    /// drops: a connection that has flushed will flush again.
+    seat: Option<Seat>,
     hello_done: bool,
     closed: bool,
 }
@@ -44,6 +48,7 @@ impl Session {
             server,
             decoder: FrameDecoder::new(max_frame),
             queue: Vec::new(),
+            seat: None,
             hello_done: false,
             closed: false,
         }
@@ -127,6 +132,7 @@ impl Session {
         )));
         self.server.count(|w| &w.drained_sessions, 1);
         self.closed = true;
+        self.seat = None;
         out
     }
 
@@ -137,6 +143,7 @@ impl Session {
             self.queue.clear();
         }
         self.closed = true;
+        self.seat = None;
     }
 
     fn handle(&mut self, req: Request) -> Vec<Response> {
@@ -243,10 +250,9 @@ impl Session {
             }];
         }
         let jobs = subs.iter().map(submission_job).collect();
-        let report = self
-            .server
-            .pool()
-            .serve_with_cancel(jobs, self.server.cancel_flag());
+        let pool = self.server.pool();
+        let seat = self.seat.get_or_insert_with(|| pool.seat());
+        let report = pool.serve_seated(seat, jobs, self.server.cancel_flag());
         self.server.merge_site_metrics(&report.fleet_metrics);
         self.server.count(|w| &w.flushes, 1);
 

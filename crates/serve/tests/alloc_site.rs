@@ -1,8 +1,7 @@
 //! Per-site allocation ceilings for the served corpus path.
 //!
-//! A counting global allocator wraps `System` and counts the allocation
-//! requests (alloc, zeroed, and growth reallocs; frees are uncounted) made
-//! on the calling thread. Each of the 13 corpus programs then runs through
+//! A counting global allocator (`counting`) counts the allocation requests
+//! made on the calling thread. Each of the 13 corpus programs runs through
 //! the steps of the server's own site job: `policy_kind("kernel")` →
 //! `config` plus an attached metrics observer → `mediator()` →
 //! `run_schedule_with` → `analyze` → `with_labels`. One warm-up site runs
@@ -12,74 +11,35 @@
 //! Every program has a ceiling. A change may lower a ceiling, never raise
 //! one: a site's set-up cost is part of the served path's budget. CI runs
 //! this binary in `--release` next to `alloc_steady`; every `cargo test`
-//! runs it in debug.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! runs it in debug. `alloc_flush` holds the same line for a whole flush.
 
 use jsk_analyze::report::analyze;
 use jsk_observe::{handle_of, Observer};
 use jsk_serve::policy_kind;
 use jsk_workloads::schedule::{corpus_schedules, run_schedule_with, Schedule};
 
-/// Counts allocation requests per thread, so the harness's own threads
-/// cannot move the count of the site under test.
-struct CountingAlloc;
+mod counting;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+use counting::allocations;
 
 /// The run seed of every measured site.
 const SEED: u64 = 31;
 
 /// Allocations per site under the `kernel` policy, in corpus order.
 const CEILINGS: [(&str, u64); 13] = [
-    ("CVE-2018-5092", 895),
-    ("CVE-2017-7843", 88),
-    ("CVE-2015-7215", 185),
-    ("CVE-2014-3194", 367),
-    ("CVE-2014-1719", 200),
-    ("CVE-2014-1488", 208),
-    ("CVE-2014-1487", 170),
-    ("CVE-2013-6646", 538),
-    ("CVE-2013-5602", 344),
-    ("CVE-2013-1714", 194),
-    ("CVE-2011-1190", 175),
-    ("CVE-2010-4576", 164),
-    ("listing-1", 835),
+    ("CVE-2018-5092", 818),
+    ("CVE-2017-7843", 68),
+    ("CVE-2015-7215", 140),
+    ("CVE-2014-3194", 299),
+    ("CVE-2014-1719", 141),
+    ("CVE-2014-1488", 145),
+    ("CVE-2014-1487", 123),
+    ("CVE-2013-6646", 469),
+    ("CVE-2013-5602", 273),
+    ("CVE-2013-1714", 142),
+    ("CVE-2011-1190", 128),
+    ("CVE-2010-4576", 105),
+    ("listing-1", 777),
 ];
 
 /// Runs one site through the served job's steps and returns how many

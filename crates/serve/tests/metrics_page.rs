@@ -96,3 +96,33 @@ fn tcp_metrics_page_matches_the_golden_page() {
     assert_eq!(page, SESSION_PAGE);
     assert_eq!(tcp.shutdown(), FINAL_PAGE);
 }
+
+/// Serves one site labelled `site` and returns the page scraped after.
+fn page_for_site(site: &str) -> String {
+    let mut client = Client::connect(&LoopbackTransport::new(server())).expect("connect + hello");
+    let mut sub = submission(1, 41);
+    sub.site = site.to_owned();
+    assert!(matches!(
+        client.submit(&sub).expect("submit"),
+        Response::Queued { .. }
+    ));
+    client.flush().expect("flush");
+    client.metrics_page().expect("metrics")
+}
+
+#[test]
+fn a_hostile_site_label_cannot_forge_a_metrics_line() {
+    // The label closes its quote and brace, ends the line, and writes a
+    // series of its own.
+    let hostile = "x\"} 1\nforged_total 42\n#";
+    let page = page_for_site(hostile);
+    assert!(
+        !page.lines().any(|l| l.starts_with("forged_total")),
+        "{page}"
+    );
+    // Each series is the one a plain label gives, its value escaped.
+    let escaped = r#"site="x\"} 1\nforged_total 42\n#""#;
+    let plain = page_for_site("x").replace(r#"site="x""#, escaped);
+    assert_eq!(page, plain);
+    assert!(page.contains(escaped), "{page}");
+}

@@ -37,6 +37,6 @@ pub use chaos::{
     ChaosKnobs, ChaosMatrix, ChaosScenario,
 };
 pub use serve::{
-    ServeConfig, ServeReport, ShardPool, ShardReport, SiteCtx, SiteJob, SiteOutcome, SiteOutput,
-    SiteReport,
+    Seat, ServeConfig, ServeReport, ShardPool, ShardReport, SiteCtx, SiteJob, SiteOutcome,
+    SiteOutput, SiteReport,
 };

@@ -8,11 +8,20 @@
 //! a FIFO queue of pending sites, and a **virtual timeline** — the
 //! cumulative simulated milliseconds of everything it has served.
 //!
-//! **Workers.** Each serve drives the shards with `min(workers, queued
-//! sites)` workers, at least one. The calling thread is worker 0 and only
-//! workers `1..` are spawned, so a one-site flush runs on the caller and
-//! spawns nothing. Worker `w` owns the shards `s` with `s % workers == w`
-//! and may **steal** a pending site from any other shard when its own
+//! **Workers.** `ServeConfig::workers` is a budget of **seats** shared by
+//! the whole pool (every clone of a [`ShardPool`] counts against the same
+//! budget), not a per-serve thread count. A serve always runs on its
+//! caller as worker 0, and the caller never waits for a seat: it serves on
+//! one it already holds ([`ShardPool::serve_seated`], which a connection
+//! uses from its first flush until it closes), or takes one for the call
+//! ([`ShardPool::serve`]). The serve then adds a helper thread only for
+//! each seat it can take without waiting — at most `min(workers, queued
+//! sites) − 1`, fewer while other callers hold seats — and gives those
+//! seats back when its scope ends. So a one-site flush spawns nothing, and
+//! two connections that have flushed on a two-seat pool serve on their own
+//! threads with no helper at all. Within one serve nothing else changes
+//! with the seat count: worker `w` owns the shards `s` with `s % workers
+//! == w` and may **steal** a pending site from any other shard when its own
 //! lanes drain, unless the fault plan partitions the victim shard away
 //! from the thief's home shard at that virtual instant. The owner is
 //! always allowed to drive its own shard, so a partition can slow a shard
@@ -22,7 +31,8 @@
 //! lock released, and re-takes it to account the attempt, so a lane
 //! still serves one site at a time, in order. A worker with nothing it
 //! may run sleeps on a condvar that every commit, quarantine, and
-//! cancel-drain signals; an idle worker never spins.
+//! cancel-drain signals; an idle worker never spins, and no worker leaves
+//! a serve before every queued site is accounted for.
 //!
 //! **Determinism.** Every [`SiteReport`] is a pure function of
 //! `(job, shard id, fault plan)`: shards serialize their own sites in
@@ -60,7 +70,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Configuration of a [`ShardPool`].
@@ -68,10 +78,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 pub struct ServeConfig {
     /// Number of kernel shards (serving lanes). Clamped to at least 1.
     pub shards: usize,
-    /// Most worker threads driving the shards in one serve, the calling
-    /// thread included; a serve uses at most one per queued site. Clamped
-    /// to at least 1. Worker count never changes any report — only
-    /// wall-clock.
+    /// Seats for threads that run sites, across the whole pool and every
+    /// clone of it: a serving caller holds one (a connection that has
+    /// flushed keeps its seat until it closes), and a serve adds a helper
+    /// thread only for a seat that is free, at most one thread per queued
+    /// site. Clamped to at least 1. A caller never waits for a seat, and
+    /// worker count never changes any report — only wall-clock.
     pub workers: usize,
     /// How many times the supervisor restarts a crashed shard before
     /// quarantining it.
@@ -423,10 +435,28 @@ impl ShardState {
     }
 }
 
-/// The sharded serving pool. See the module docs for the model.
+/// The sharded serving pool. See the module docs for the model. Clones
+/// share one seat budget.
 #[derive(Debug, Clone)]
 pub struct ShardPool {
     cfg: ServeConfig,
+    /// Seats taken across the pool and its clones.
+    seats: Arc<AtomicUsize>,
+}
+
+/// Seats of a pool's [`ServeConfig::workers`] budget, held until dropped.
+/// [`ShardPool::seat`] hands out one for a caller that will serve again;
+/// see the module docs for how serves count them.
+#[derive(Debug)]
+pub struct Seat {
+    taken: Arc<AtomicUsize>,
+    n: usize,
+}
+
+impl Drop for Seat {
+    fn drop(&mut self) {
+        self.taken.fetch_sub(self.n, Ordering::AcqRel);
+    }
 }
 
 impl ShardPool {
@@ -444,7 +474,38 @@ impl ShardPool {
                 panic!("invalid fault plan: {e}");
             }
         }
-        ShardPool { cfg }
+        ShardPool {
+            cfg,
+            seats: Arc::default(),
+        }
+    }
+
+    /// Takes one seat, without waiting: a caller's own thread always
+    /// serves, so it may hold a seat past the budget, and then no serve
+    /// adds a helper until enough seats come back.
+    #[must_use]
+    pub fn seat(&self) -> Seat {
+        self.seats.fetch_add(1, Ordering::AcqRel);
+        Seat {
+            taken: self.seats.clone(),
+            n: 1,
+        }
+    }
+
+    /// Takes up to `want` seats, as many as are free, without waiting.
+    fn free_seats(&self, want: usize) -> Seat {
+        let budget = self.cfg.workers.max(1);
+        let spare = |taken: usize| want.min(budget.saturating_sub(taken));
+        let n = self
+            .seats
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |taken| {
+                (spare(taken) > 0).then(|| taken + spare(taken))
+            })
+            .map_or(0, spare);
+        Seat {
+            taken: self.seats.clone(),
+            n,
+        }
     }
 
     /// The pool's configuration.
@@ -457,7 +518,7 @@ impl ShardPool {
     /// returns the fleet report. Deterministic for any worker count.
     #[must_use]
     pub fn serve(&self, jobs: Vec<SiteJob>) -> ServeReport {
-        self.serve_inner(jobs, None)
+        self.serve_inner(&self.seat(), jobs, None)
     }
 
     /// Like [`serve`](ShardPool::serve), but cooperatively cancellable: a
@@ -472,10 +533,37 @@ impl ShardPool {
     /// wall-clock, only the accounting invariants are stable.
     #[must_use]
     pub fn serve_with_cancel(&self, jobs: Vec<SiteJob>, cancel: &AtomicBool) -> ServeReport {
-        self.serve_inner(jobs, Some(cancel))
+        self.serve_inner(&self.seat(), jobs, Some(cancel))
     }
 
-    fn serve_inner(&self, jobs: Vec<SiteJob>, cancel: Option<&AtomicBool>) -> ServeReport {
+    /// Like [`serve_with_cancel`](ShardPool::serve_with_cancel), on a seat
+    /// the caller already holds, so a connection that flushes again and
+    /// again counts as one seat for its whole life.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `seat` was taken from a pool that does not share this
+    /// one's budget.
+    #[must_use]
+    pub fn serve_seated(
+        &self,
+        seat: &Seat,
+        jobs: Vec<SiteJob>,
+        cancel: &AtomicBool,
+    ) -> ServeReport {
+        self.serve_inner(seat, jobs, Some(cancel))
+    }
+
+    fn serve_inner(
+        &self,
+        seat: &Seat,
+        jobs: Vec<SiteJob>,
+        cancel: Option<&AtomicBool>,
+    ) -> ServeReport {
+        assert!(
+            Arc::ptr_eq(&seat.taken, &self.seats),
+            "a seat serves only the pool it was taken from"
+        );
         let n_shards = self.cfg.shards.max(1);
         let capacity = self.cfg.admission_capacity;
         let plan = self.cfg.fault.as_ref();
@@ -516,9 +604,11 @@ impl ShardPool {
             }
         }
 
-        // The caller is worker 0; a flush never gets more workers than it
-        // has queued sites, so a one-site flush spawns no thread at all.
-        let workers = self.cfg.workers.min(queued).max(1);
+        // The caller is worker 0 on its own seat; a helper runs only on a
+        // seat that is free now, and never more workers than queued sites,
+        // so a one-site flush spawns no thread at all.
+        let helpers = self.free_seats(self.cfg.workers.min(queued).max(1) - 1);
+        let workers = 1 + helpers.n;
         let sched = Sched {
             lanes: Mutex::new(Lanes {
                 busy: vec![false; n_shards],
@@ -537,6 +627,7 @@ impl ShardPool {
             }
             worker_loop(0, &sched);
         });
+        drop(helpers);
 
         // Finalize: order rows, gossip heartbeats, label the fleet view.
         let mut shards = Vec::with_capacity(n_shards);
@@ -890,7 +981,12 @@ mod tests {
         let report = ShardPool::new(ServeConfig::new(2, 2)).serve(jobs(4, 1));
         assert_eq!(report.fleet_metrics.counter("site.runs{shard=0}"), 2);
         assert_eq!(report.fleet_metrics.counter("site.runs{shard=1}"), 2);
-        assert_eq!(report.fleet_metrics.counter_across_labels("site.runs"), 4);
+        let across: u64 = report
+            .shards
+            .iter()
+            .map(|sh| sh.metrics.counter("site.runs"))
+            .sum();
+        assert_eq!(across, 4);
         // The report's JSON is deterministic and round-trips.
         let back: ServeReport = serde_json::from_str(&report.json()).unwrap();
         assert_eq!(back, report);
@@ -997,6 +1093,110 @@ mod tests {
                 threads.len()
             );
         }
+    }
+
+    /// A latch jobs wait on, with a timeout so a wait that cannot end
+    /// fails the test instead of hanging it.
+    #[derive(Default)]
+    struct Latch {
+        count: Mutex<usize>,
+        moved: Condvar,
+    }
+
+    impl Latch {
+        fn arrive(&self) {
+            *self.count.lock().unwrap() += 1;
+            self.moved.notify_all();
+        }
+
+        /// Whether the count reached `n` within 10 s.
+        fn reached(&self, n: usize) -> bool {
+            let count = self.count.lock().unwrap();
+            let (count, _) = self
+                .moved
+                .wait_timeout_while(count, std::time::Duration::from_secs(10), |c| *c < n)
+                .unwrap();
+            *count >= n
+        }
+    }
+
+    #[test]
+    fn with_every_seat_held_elsewhere_a_serve_runs_on_its_caller_only() {
+        let pool = ShardPool::new(ServeConfig::new(4, 2));
+        let held = [pool.seat(), pool.seat()];
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let list = (0..8)
+            .map(|i| tracked(&format!("site-{i}"), &seen))
+            .collect();
+        assert_eq!(pool.serve(list).totals().0, 8);
+        assert_eq!(*seen.lock().unwrap(), vec![std::thread::current().id(); 8]);
+        drop(held);
+    }
+
+    #[test]
+    fn with_no_seat_held_a_serve_runs_two_sites_at_once() {
+        // Sites 0 and 1 home on shards owned by different workers, and
+        // each waits until both have started: only a helper on the second
+        // seat lets either finish in time.
+        let started = Arc::new(Latch::default());
+        let met = Arc::new(Mutex::new(Vec::new()));
+        let mut list = jobs(8, 1);
+        for (i, slot) in list.iter_mut().take(2).enumerate() {
+            let (started, met, inner) = (started.clone(), met.clone(), slot.clone());
+            *slot = SiteJob::new(inner.site.clone(), inner.seed, move |ctx| {
+                started.arrive();
+                met.lock().unwrap().push((i, started.reached(2)));
+                (inner.run)(ctx)
+            });
+        }
+        let report = within(30, move || {
+            ShardPool::new(ServeConfig::new(4, 2)).serve(list)
+        });
+        assert_eq!(report.totals().0, 8);
+        let mut met = met.lock().unwrap().clone();
+        met.sort_unstable();
+        assert_eq!(met, vec![(0, true), (1, true)]);
+    }
+
+    #[test]
+    fn a_one_site_serve_on_a_held_seat_is_not_starved_by_an_eight_site_serve() {
+        // The eight-site serve takes both seats and blocks inside its
+        // jobs until the gate opens; the gate opens only once the
+        // one-site serve has returned.
+        let pool = ShardPool::new(ServeConfig::new(4, 2));
+        let (entered, gate) = (Arc::new(Latch::default()), Arc::new(Latch::default()));
+        let timed_out = Arc::new(AtomicBool::new(false));
+        let list: Vec<SiteJob> = jobs(8, 1)
+            .into_iter()
+            .map(|inner| {
+                let (entered, gate, timed_out) = (entered.clone(), gate.clone(), timed_out.clone());
+                SiteJob::new(inner.site.clone(), inner.seed, move |ctx| {
+                    entered.arrive();
+                    if !gate.reached(1) {
+                        timed_out.store(true, Ordering::Release);
+                    }
+                    (inner.run)(ctx)
+                })
+            })
+            .collect();
+        let big = {
+            let pool = pool.clone();
+            std::thread::spawn(move || pool.serve(list))
+        };
+        assert!(entered.reached(2), "both seats run a blocked site");
+        let small = within(10, move || {
+            let seat = pool.seat();
+            pool.serve_seated(&seat, jobs(1, 1), &AtomicBool::new(false))
+        });
+        assert_eq!(small.totals().0, 1);
+        assert!(
+            !timed_out.load(Ordering::Acquire),
+            "the gate was still shut"
+        );
+        gate.arrive();
+        let big = within(10, move || big.join().expect("the big serve"));
+        assert_eq!(big.totals().0, 8);
+        assert!(!timed_out.load(Ordering::Acquire));
     }
 
     #[test]

@@ -100,16 +100,17 @@ fn main() {
 
     // 6. Per-shard metrics, label-set by shard id, merged fleet-wide.
     println!("\n== fleet metrics (shard-labelled counters, fault-free run) ==");
-    let mut names: Vec<_> = clean.fleet_metrics.counters.keys().collect();
-    names.sort();
-    for name in names.iter().take(8) {
-        println!("   {name} = {}", clean.fleet_metrics.counters[*name]);
+    let counters = clean.fleet_metrics.counters();
+    for (name, value) in counters.iter().take(8) {
+        println!("   {name} = {value}");
     }
+    let registered: u64 = clean
+        .shards
+        .iter()
+        .map(|sh| sh.metrics.counter("kernel.registered"))
+        .sum();
     println!(
-        "   ... {} counters total; kernel.registered across shards = {}",
-        clean.fleet_metrics.counters.len(),
-        clean
-            .fleet_metrics
-            .counter_across_labels("kernel.registered")
+        "   ... {} counters total; kernel.registered across shards = {registered}",
+        counters.len()
     );
 }

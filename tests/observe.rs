@@ -101,8 +101,7 @@ fn assert_reconciles(browser: &Browser, observer: &Rc<RefCell<Observer>>) {
     assert_eq!(mix, stats.api_calls, "policy mix does not cover api_calls");
     // One latency observation per released event.
     let lat = m
-        .histograms
-        .get("kernel.dispatch_latency_ticks")
+        .histogram("kernel.dispatch_latency_ticks")
         .expect("latency histogram present");
     assert_eq!(lat.count, stats.dispatched);
     assert_eq!(lat.buckets.iter().sum::<u64>(), lat.count);
@@ -128,7 +127,7 @@ fn metrics_reconcile_with_kernel_stats_on_a_busy_page() {
     assert!(m.counter("kernel.denials") > 0, "busy page trips a policy");
     assert!(m.counter("browser.tasks") > 0, "browser task spans counted");
     assert!(
-        m.gauges.contains_key("kernel.equeue_depth"),
+        m.gauge("kernel.equeue_depth").is_some(),
         "equeue depth gauge recorded"
     );
 }
@@ -170,7 +169,7 @@ fn a_worker_exit_that_reaps_nothing_still_reports_orphans() {
     );
     let m = obs.borrow().metrics();
     assert_eq!(
-        m.counters.get("kernel.orphans_reaped"),
+        m.counters().get("kernel.orphans_reaped"),
         Some(&0),
         "a thread exit publishes the orphan counter even at 0"
     );
