@@ -107,27 +107,10 @@ const SIG_API: u8 = 1;
 /// Fact-side evidence.
 const SIG_FACT: u8 = 2;
 
-/// A ticker channel needs this many sends to count as a clock
-/// (`JSK_SCAN_TICKER_SENDS` overrides).
+/// A ticker channel needs this many sends to count as a clock …
 const TICKER_MIN_SENDS: usize = 20;
-/// … with a median inter-send gap at or below this many milliseconds,
-/// i.e. 50 Hz+ by default (`JSK_SCAN_TICKER_MS` overrides).
-const TICKER_MAX_MEDIAN_MS: usize = 20;
-
-/// The effective ticker send threshold: `JSK_SCAN_TICKER_SENDS`, default
-/// `TICKER_MIN_SENDS` (20). Invalid values warn on stderr and fall back.
-#[must_use]
-pub fn ticker_min_sends() -> usize {
-    jsk_sim::knob::env_knob("JSK_SCAN_TICKER_SENDS", TICKER_MIN_SENDS)
-}
-
-/// The effective maximum median inter-send gap in milliseconds:
-/// `JSK_SCAN_TICKER_MS`, default `TICKER_MAX_MEDIAN_MS` (20 ms). Invalid values
-/// warn on stderr and fall back.
-#[must_use]
-pub fn ticker_max_median_gap() -> SimTime {
-    SimTime::from_millis(jsk_sim::knob::env_knob("JSK_SCAN_TICKER_MS", TICKER_MAX_MEDIAN_MS) as u64)
-}
+/// … with a median inter-send gap at or below this, i.e. 50 Hz+.
+const TICKER_MAX_MEDIAN_GAP: SimTime = SimTime::from_millis(20);
 
 /// Scans a trace for attack signatures. Output is deterministic: sorted by
 /// `(time, kind, detail)`, one finding per distinct piece of evidence.
@@ -453,10 +436,10 @@ pub fn scan(trace: &Trace) -> Vec<PatternFinding> {
 }
 
 /// Whether an instant stream is dense enough to serve as a clock:
-/// [`ticker_min_sends`] events with a median gap at or below
-/// [`ticker_max_median_gap`]. Returns `(count, median gap in ns)`.
+/// `TICKER_MIN_SENDS` events with a median gap at or below
+/// `TICKER_MAX_MEDIAN_GAP`. Returns `(count, median gap in ns)`.
 fn dense_stream(instants: &[SimTime]) -> Option<(usize, u64)> {
-    if instants.len() < ticker_min_sends() {
+    if instants.len() < TICKER_MIN_SENDS {
         return None;
     }
     let mut gaps: Vec<u64> = instants
@@ -465,7 +448,7 @@ fn dense_stream(instants: &[SimTime]) -> Option<(usize, u64)> {
         .collect();
     gaps.sort_unstable();
     let median = gaps[gaps.len() / 2];
-    (median <= ticker_max_median_gap().as_nanos()).then_some((instants.len(), median))
+    (median <= TICKER_MAX_MEDIAN_GAP.as_nanos()).then_some((instants.len(), median))
 }
 
 #[cfg(test)]
@@ -473,32 +456,12 @@ mod tests {
     use super::*;
     use jsk_browser::ids::ThreadId;
 
-    #[test]
-    fn steady_stream_is_a_ticker_slow_stream_is_not() {
-        let mut fast = Trace::new();
-        let mut slow = Trace::new();
-        for i in 0..40u64 {
-            let call = ApiCall::PostMessage {
-                from: ThreadId::new(1),
-                to: ThreadId::new(0),
-                transfer_count: 0,
-                to_doc_freed: false,
-            };
-            fast.api(SimTime::from_millis(i), call);
-            slow.api(SimTime::from_millis(i * 100), call);
-        }
-        let fast_hits = scan(&fast);
-        assert_eq!(fast_hits.len(), 1);
-        assert_eq!(fast_hits[0].kind, PatternKind::ImplicitClockTicker);
-        assert!(scan(&slow).is_empty());
-    }
-
-    #[test]
-    fn short_bursts_are_not_tickers() {
+    /// `sends` worker→main posts, `gap_ms` apart.
+    fn posts(sends: u64, gap_ms: u64) -> Trace {
         let mut t = Trace::new();
-        for i in 0..(TICKER_MIN_SENDS as u64 - 1) {
+        for i in 0..sends {
             t.api(
-                SimTime::from_millis(i),
+                SimTime::from_millis(i * gap_ms),
                 ApiCall::PostMessage {
                     from: ThreadId::new(1),
                     to: ThreadId::new(0),
@@ -507,7 +470,28 @@ mod tests {
                 },
             );
         }
-        assert!(scan(&t).is_empty());
+        t
+    }
+
+    #[test]
+    fn steady_stream_is_a_ticker_slow_stream_is_not() {
+        let fast_hits = scan(&posts(40, 1));
+        assert_eq!(fast_hits.len(), 1);
+        assert_eq!(fast_hits[0].kind, PatternKind::ImplicitClockTicker);
+        assert!(scan(&posts(40, 100)).is_empty());
+        // The gap bound is inclusive at 20 ms (50 Hz).
+        let edge_hits = scan(&posts(20, 20));
+        assert_eq!(edge_hits.len(), 1);
+        assert_eq!(edge_hits[0].kind, PatternKind::ImplicitClockTicker);
+        assert!(scan(&posts(20, 21)).is_empty());
+    }
+
+    #[test]
+    fn short_bursts_are_not_tickers() {
+        // The send threshold is 20: 19 posts are no clock, however dense,
+        // and a one-post channel has no gap to take the median of.
+        assert!(scan(&posts(19, 1)).is_empty());
+        assert!(scan(&posts(1, 1)).is_empty());
     }
 
     #[test]

@@ -16,10 +16,11 @@ use jsk_attacks::cve_exploits::all_exploits;
 use jsk_attacks::harness::{CveExploit, TimingAttack};
 use jsk_attacks::{CacheAttack, ClockEdge, SvgFiltering};
 use jsk_bench::record::{BenchReporter, CellRecord, Probe};
-use jsk_bench::{env_knob, pool, verdict_cell, Report};
+use jsk_bench::{pool, verdict_cell, Report};
 use jsk_browser::browser::Browser;
 use jsk_core::{config::KernelConfig, kernel::JsKernel};
 use jsk_defenses::registry::DefenseKind;
+use jsk_sim::knob::env_knob;
 
 /// Builds a JSKernel browser with the given config on the Chrome profile.
 fn build(cfg: &KernelConfig, seed: u64, exploit: Option<&dyn CveExploit>) -> Browser {

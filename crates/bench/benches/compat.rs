@@ -10,10 +10,11 @@
 //! `JSK_JOBS=n` fans the per-site comparisons across workers).
 
 use jsk_bench::record::{BenchReporter, CellRecord, Probe};
-use jsk_bench::{env_knob, pool, Report};
+use jsk_bench::{pool, Report};
 use jsk_browser::mediator::LegacyMediator;
 use jsk_core::{config::KernelConfig, kernel::JsKernel};
 use jsk_defenses::registry::DefenseKind;
+use jsk_sim::knob::env_knob;
 use jsk_workloads::compat::{
     compare_site_observed, CompatRow, CompatSummary, SIMILARITY_THRESHOLD,
 };

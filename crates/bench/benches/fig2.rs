@@ -12,8 +12,9 @@
 use jsk_attacks::harness::run_timing_attack_observed;
 use jsk_attacks::ScriptParsing;
 use jsk_bench::record::{BenchReporter, CellRecord, Probe};
-use jsk_bench::{env_knob, pool, Report};
+use jsk_bench::{pool, Report};
 use jsk_defenses::registry::DefenseKind;
+use jsk_sim::knob::env_knob;
 use jsk_sim::stats::{pearson, Summary};
 
 fn main() {

@@ -10,8 +10,9 @@
 //! per-site seeds are fixed, so the CDF is schedule-invariant).
 
 use jsk_bench::record::{BenchReporter, CellRecord, Probe};
-use jsk_bench::{env_knob, pool, Report};
+use jsk_bench::{pool, Report};
 use jsk_defenses::registry::DefenseKind;
+use jsk_sim::knob::env_knob;
 use jsk_sim::stats::{percentile, Summary};
 use jsk_workloads::site::{load_result, load_site, SiteProfile};
 

@@ -12,8 +12,9 @@
 //! job runs the full example at 200) and `JSK_FUZZ_SEED` (default 1).
 
 use jsk_bench::record::{BenchReporter, CellRecord};
-use jsk_bench::{env_knob, pool, Report};
+use jsk_bench::{pool, Report};
 use jsk_fuzz::{is_canonical, run_fuzz, FuzzConfig};
+use jsk_sim::knob::env_knob;
 
 fn main() {
     let iters = env_knob("JSK_FUZZ_ITERS", 64);

@@ -207,9 +207,9 @@ fn trace_record(rounds: usize) -> (Phase, u64) {
 }
 
 /// The observability hot path: a fixed hook sequence (dispatch span,
-/// counter, latency histogram, depth gauge) driven through the dynamic
-/// [`Subscriber`](jsk_observe::Subscriber) handle the kernel holds — the
-/// per-hook cost an attached observer adds. The kernel itself no longer
+/// counter, latency histogram, depth gauge) driven through the
+/// [`ObsHandle`](jsk_observe::ObsHandle) the kernel holds — the per-hook
+/// cost an attached observer adds. The kernel itself no longer
 /// bumps a counter per event: it publishes `KernelStats` once per run.
 /// A metrics-only observer keeps the loop allocation-free after warm-up.
 fn observe_hooks(rounds: u64) -> (Phase, u64, jsk_observe::MetricsSnapshot) {
@@ -297,8 +297,8 @@ fn dispatch_steady(events: u64) -> (Phase, u64, StatsSnapshot) {
 }
 
 fn main() {
-    let rounds = jsk_bench::env_knob("JSK_HOTPATH_ROUNDS", 1_000_000);
-    let steady_events = jsk_bench::env_knob("JSK_HOTPATH_STEADY", 250_000) as u64;
+    let rounds = jsk_sim::knob::env_knob("JSK_HOTPATH_ROUNDS", 1_000_000);
+    let steady_events = jsk_sim::knob::env_knob("JSK_HOTPATH_STEADY", 250_000) as u64;
     let mut reporter = jsk_bench::record::BenchReporter::new("hotpath");
     reporter.knob("JSK_HOTPATH_ROUNDS", rounds);
     reporter.knob("JSK_HOTPATH_STEADY", steady_events as usize);

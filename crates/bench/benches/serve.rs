@@ -17,10 +17,11 @@
 //! only; the JSON record stays deterministic.
 
 use jsk_bench::record::{BenchReporter, CellRecord};
-use jsk_bench::{env_knob, pool, Report};
+use jsk_bench::{pool, Report};
 use jsk_serve::protocol::Response;
 use jsk_serve::{submission_job, Client, LoopbackTransport, Server, ServerConfig, Submission};
 use jsk_shard::serve::{ServeConfig, ShardPool, SiteOutcome};
+use jsk_sim::knob::env_knob;
 use jsk_workloads::schedule::{corpus_schedules, Schedule};
 
 /// The corpus under the kernel policy, seeded per connection.

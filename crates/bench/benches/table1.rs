@@ -13,8 +13,9 @@ use jsk_attacks::harness::{
 };
 use jsk_attacks::{all_timing_attacks, cve_exploits::all_exploits};
 use jsk_bench::record::{BenchReporter, CellRecord, Probe};
-use jsk_bench::{env_knob, pool, verdict_cell, Report};
+use jsk_bench::{pool, verdict_cell, Report};
 use jsk_defenses::registry::DefenseKind;
+use jsk_sim::knob::env_knob;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The paper's expected cell (true = defends), reconstructed from §IV prose

@@ -8,8 +8,9 @@
 use jsk_attacks::harness::run_timing_attack_observed;
 use jsk_attacks::{Loopscan, SvgFiltering};
 use jsk_bench::record::{BenchReporter, CellRecord, Probe};
-use jsk_bench::{env_knob, pool, Report};
+use jsk_bench::{pool, Report};
 use jsk_defenses::registry::DefenseKind;
+use jsk_sim::knob::env_knob;
 
 /// Table II's published cells: (defense, svg low, svg high, loopscan
 /// google, loopscan youtube), in ms.

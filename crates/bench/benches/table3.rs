@@ -5,8 +5,9 @@
 //! the site × configuration cells across workers).
 
 use jsk_bench::record::{BenchReporter, CellRecord, Probe};
-use jsk_bench::{env_knob, pool, Report};
+use jsk_bench::{pool, Report};
 use jsk_defenses::registry::DefenseKind;
+use jsk_sim::knob::env_knob;
 use jsk_workloads::raptor::{run_subtest_observed, RaptorRow, TP6_SITES};
 
 /// Table III's published means (ms): (site, chrome, jskernel-on-chrome,

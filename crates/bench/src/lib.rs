@@ -25,11 +25,6 @@ pub mod pool;
 pub mod record;
 pub mod regress;
 
-// The knob parser moved to `jsk_sim::knob` so analysis crates can read
-// environment knobs without a bench dependency; re-exported here so
-// every existing `jsk_bench::env_knob` callsite keeps compiling.
-pub use jsk_sim::knob::{env_knob, parse_knob};
-
 /// A printable table with a title, column headers, and string rows.
 #[derive(Debug, Clone)]
 pub struct Report {
@@ -134,6 +129,11 @@ mod tests {
         let mut r = Report::new("T", &["a"]);
         r.row(vec!["x".into(), "y".into()]);
     }
+
+    // The bench binaries read their knobs through `jsk_sim::knob`; these
+    // pin the fallback semantics every committed `bench_results/` record
+    // was produced under.
+    use jsk_sim::knob::{env_knob, parse_knob};
 
     #[test]
     fn knobs_parse_and_default() {

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[must_use]
 pub fn jobs() -> usize {
     let default = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    crate::env_knob("JSK_JOBS", default)
+    jsk_sim::knob::env_knob("JSK_JOBS", default)
 }
 
 /// Number of serving shards for the sharded-fleet targets: the
@@ -29,7 +29,7 @@ pub fn jobs() -> usize {
 /// fall back exactly like `JSK_JOBS`.
 #[must_use]
 pub fn shards() -> usize {
-    crate::env_knob("JSK_SHARDS", 4)
+    jsk_sim::knob::env_knob("JSK_SHARDS", 4)
 }
 
 /// Runs `f(0) .. f(n-1)` across `jobs` scoped worker threads and returns
@@ -132,9 +132,10 @@ mod tests {
         // `JSK_SHARDS` rides the same parse/fallback path as `JSK_JOBS`:
         // unparsable or non-positive values yield the default (the warning
         // itself goes to stderr).
-        assert_eq!(crate::parse_knob("JSK_SHARDS", "abc", 4), 4);
-        assert_eq!(crate::parse_knob("JSK_SHARDS", "0", 4), 4);
-        assert_eq!(crate::parse_knob("JSK_SHARDS", "-3", 4), 4);
-        assert_eq!(crate::parse_knob("JSK_SHARDS", "6", 4), 6);
+        use jsk_sim::knob::parse_knob;
+        assert_eq!(parse_knob("JSK_SHARDS", "abc", 4), 4);
+        assert_eq!(parse_knob("JSK_SHARDS", "0", 4), 4);
+        assert_eq!(parse_knob("JSK_SHARDS", "-3", 4), 4);
+        assert_eq!(parse_knob("JSK_SHARDS", "6", 4), 6);
     }
 }

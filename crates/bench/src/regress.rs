@@ -113,7 +113,7 @@ pub const MIN_THROUGHPUT_WALL_MS: f64 = 250.0;
 /// The throughput tolerance in percent: `JSK_REGRESS_TOL`, default 25.
 #[must_use]
 pub fn tolerance_pct() -> f64 {
-    crate::env_knob("JSK_REGRESS_TOL", 25) as f64
+    jsk_sim::knob::env_knob("JSK_REGRESS_TOL", 25) as f64
 }
 
 /// Diffs a fresh run against its baseline. `tol_pct` is the allowed

@@ -4,7 +4,7 @@
 //! committed baseline. These tests pin the exact fallback semantics the
 //! bench binary sees.
 
-use jsk_bench::{env_knob, parse_knob};
+use jsk_sim::knob::{env_knob, parse_knob};
 
 #[test]
 fn hotpath_knobs_fall_back_on_invalid_values() {

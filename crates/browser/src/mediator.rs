@@ -271,7 +271,7 @@ pub trait Mediator {
     /// The defense's display name (used in tables and traces).
     fn name(&self) -> &str;
 
-    /// Hands the mediator a subscriber to instrument itself with.
+    /// Hands the mediator an observer handle to instrument itself with.
     ///
     /// `Browser::new` calls this when its config carries an observer
     /// (`BrowserConfig::with_observer`); kernels intern their span and

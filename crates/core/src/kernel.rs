@@ -36,13 +36,7 @@ use jsk_browser::value::JsValue;
 use jsk_sim::fasthash::FastMap;
 use jsk_sim::time::{SimDuration, SimTime};
 use jsk_sim::token_table::TokenTable;
-use std::sync::{Arc, OnceLock};
-
-/// Whether `JSK_DEBUG` tracing is enabled (checked once).
-fn debug_enabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("JSK_DEBUG").is_ok())
-}
+use std::sync::Arc;
 
 /// Per-thread kernel state: the thread's own event queue and clock
 /// (§III-E1: "a kernel thread maintains a separate event queue and clock
@@ -544,15 +538,6 @@ impl JsKernel {
             chk.check_clock(thread, tk.clock.display());
             self.checker = Some(chk);
         }
-        if debug_enabled() {
-            eprintln!(
-                "[rel] {} tok={} pred={} at={}",
-                head.kind.label(),
-                head.token.index(),
-                head.predicted,
-                now
-            );
-        }
         // now ≥ predicted here: the event runs at the scheduler's pace
         // (§III-D3, "following the time sequence determined by the
         // scheduler").
@@ -628,9 +613,6 @@ impl JsKernel {
                         .instant(o.syms.stats[WATCHDOG_EXPIRED], thread.index(), now);
                 }
                 self.tk(thread).watchdog = None;
-                if debug_enabled() {
-                    eprintln!("[wdg] expired tok={} at={}", head_token.index(), now);
-                }
                 true
             }
             _ => {
@@ -732,15 +714,6 @@ impl Mediator for JsKernel {
                 info.token.index(),
                 info.thread.index(),
                 ctx.now,
-            );
-        }
-        if debug_enabled() {
-            eprintln!(
-                "[reg] {} tok={} thread={} pred={}",
-                info.kind.label(),
-                info.token.index(),
-                info.thread.index(),
-                predicted
             );
         }
         let capacity = self.plan.cfg.equeue_capacity;

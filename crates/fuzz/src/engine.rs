@@ -13,9 +13,10 @@ use crate::minimize::minimize;
 use crate::mutate::mutate;
 use crate::seeds::startup_corpus;
 use jsk_analyze::report::analyze;
-use jsk_bench::{env_knob, pool};
+use jsk_bench::pool;
 use jsk_browser::mediator::LegacyMediator;
 use jsk_core::{JsKernel, KernelConfig};
+use jsk_sim::knob::env_knob;
 use jsk_sim::rng::SimRng;
 use jsk_workloads::schedule::{run_schedule, Schedule};
 use serde::Serialize;

@@ -1,11 +1,18 @@
-//! The bundled [`Subscriber`]: metrics registry + optional trace buffer.
+//! The observer and the handle instrumented code holds.
+//!
+//! `jsk-core` and `jsk-browser` hold an optional [`ObsHandle`] onto one
+//! shared [`Observer`] and call its hooks at the instrumentation points.
+//! Each hook takes a pre-interned [`Sym`] plus plain integers — nothing
+//! allocates — and timestamps come from the deterministic simulation
+//! clock ([`SimTime`]), never from the host's wall clock, so a recorded
+//! trace is a pure function of the run's seed.
 
 use crate::chrome::{self, Phase, TraceEvent, TraceSummary};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::subscriber::{ObsHandle, Subscriber};
 use crate::sym::{Interner, Sym};
 use jsk_sim::time::SimTime;
 use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
 /// The standard observer: always maintains a [`MetricsRegistry`]; with
@@ -128,41 +135,119 @@ impl Observer {
     }
 }
 
-impl Subscriber for Observer {
-    fn intern(&mut self, name: &'static str) -> Sym {
+/// The instrumentation hooks.
+impl Observer {
+    /// Interns a name, returning the symbol to pass to later hooks.
+    /// Instrumented code calls this once per name at attach time, always
+    /// with a literal, so the observer keeps the name without copying it.
+    pub fn intern(&mut self, name: &'static str) -> Sym {
         self.strings.intern_static(name)
     }
 
-    fn span_enter(&mut self, name: Sym, tid: u64, at: SimTime) {
+    /// A synchronous span opened on thread `tid` at sim-time `at`.
+    pub fn span_enter(&mut self, name: Sym, tid: u64, at: SimTime) {
         self.push(Phase::Begin, name, tid, at, None);
     }
 
-    fn span_exit(&mut self, name: Sym, tid: u64, at: SimTime) {
+    /// The matching close of [`Observer::span_enter`].
+    pub fn span_exit(&mut self, name: Sym, tid: u64, at: SimTime) {
         self.push(Phase::End, name, tid, at, None);
     }
 
-    fn instant(&mut self, name: Sym, tid: u64, at: SimTime) {
+    /// A zero-duration point event.
+    pub fn instant(&mut self, name: Sym, tid: u64, at: SimTime) {
         self.push(Phase::Instant, name, tid, at, None);
     }
 
-    fn async_begin(&mut self, name: Sym, id: u64, tid: u64, at: SimTime) {
+    /// Opens an asynchronous span correlated by `id` (e.g. an event
+    /// token's register→dispatch round trip, which starts and ends in
+    /// different tasks).
+    pub fn async_begin(&mut self, name: Sym, id: u64, tid: u64, at: SimTime) {
         self.push(Phase::AsyncBegin, name, tid, at, Some(id));
     }
 
-    fn async_end(&mut self, name: Sym, id: u64, tid: u64, at: SimTime) {
+    /// Closes the asynchronous span opened with the same `name` and `id`.
+    pub fn async_end(&mut self, name: Sym, id: u64, tid: u64, at: SimTime) {
         self.push(Phase::AsyncEnd, name, tid, at, Some(id));
     }
 
-    fn counter_add(&mut self, name: Sym, delta: u64) {
+    /// Adds `delta` to a monotonically increasing counter.
+    pub fn counter_add(&mut self, name: Sym, delta: u64) {
         self.metrics.counter_add(name, delta);
     }
 
-    fn gauge_set(&mut self, name: Sym, value: u64) {
+    /// Sets the current value of a gauge (the registry also tracks the max).
+    pub fn gauge_set(&mut self, name: Sym, value: u64) {
         self.metrics.gauge_set(name, value);
     }
 
-    fn histogram_record(&mut self, name: Sym, value: u64) {
+    /// Records one observation into a fixed-bucket histogram.
+    pub fn histogram_record(&mut self, name: Sym, value: u64) {
         self.metrics.histogram_record(name, value);
+    }
+}
+
+/// A cloneable handle onto one shared [`Observer`].
+///
+/// The simulated browser is single-threaded and `Rc`-based: the browser,
+/// its mediator, and the harness that exports results all hold clones of
+/// the same observer. Each forwarding method borrows for exactly the
+/// duration of one hook call, so nesting instrumented code (a mediator
+/// hook inside a browser task span) never double-borrows.
+#[derive(Clone)]
+pub struct ObsHandle(Rc<RefCell<Observer>>);
+
+impl fmt::Debug for ObsHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ObsHandle(..)")
+    }
+}
+
+impl ObsHandle {
+    /// Forwards [`Observer::intern`].
+    #[must_use]
+    pub fn intern(&self, name: &'static str) -> Sym {
+        self.0.borrow_mut().intern(name)
+    }
+
+    /// Forwards [`Observer::span_enter`].
+    pub fn span_enter(&self, name: Sym, tid: u64, at: SimTime) {
+        self.0.borrow_mut().span_enter(name, tid, at);
+    }
+
+    /// Forwards [`Observer::span_exit`].
+    pub fn span_exit(&self, name: Sym, tid: u64, at: SimTime) {
+        self.0.borrow_mut().span_exit(name, tid, at);
+    }
+
+    /// Forwards [`Observer::instant`].
+    pub fn instant(&self, name: Sym, tid: u64, at: SimTime) {
+        self.0.borrow_mut().instant(name, tid, at);
+    }
+
+    /// Forwards [`Observer::async_begin`].
+    pub fn async_begin(&self, name: Sym, id: u64, tid: u64, at: SimTime) {
+        self.0.borrow_mut().async_begin(name, id, tid, at);
+    }
+
+    /// Forwards [`Observer::async_end`].
+    pub fn async_end(&self, name: Sym, id: u64, tid: u64, at: SimTime) {
+        self.0.borrow_mut().async_end(name, id, tid, at);
+    }
+
+    /// Forwards [`Observer::counter_add`].
+    pub fn counter_add(&self, name: Sym, delta: u64) {
+        self.0.borrow_mut().counter_add(name, delta);
+    }
+
+    /// Forwards [`Observer::gauge_set`].
+    pub fn gauge_set(&self, name: Sym, value: u64) {
+        self.0.borrow_mut().gauge_set(name, value);
+    }
+
+    /// Forwards [`Observer::histogram_record`].
+    pub fn histogram_record(&self, name: Sym, value: u64) {
+        self.0.borrow_mut().histogram_record(name, value);
     }
 }
 
@@ -170,7 +255,7 @@ impl Subscriber for Observer {
 /// accepts), leaving the caller's `Rc` free to harvest results later.
 #[must_use]
 pub fn handle_of(observer: &Rc<RefCell<Observer>>) -> ObsHandle {
-    ObsHandle::new(observer.clone())
+    ObsHandle(observer.clone())
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Interned metric/span names.
 //!
 //! Every span, counter, gauge, and histogram is identified by a [`Sym`]: a
-//! `u32` index into an [`Interner`] owned by the subscriber. Instrumented
+//! `u32` index into an [`Interner`] owned by the observer. Instrumented
 //! code interns each name **once** (at attach time) and then passes the
 //! copyable `Sym` on every hook call, so the hot path never hashes a
 //! string or allocates. The browser's trace string table is the same type

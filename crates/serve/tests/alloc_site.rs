@@ -5,8 +5,8 @@
 //! the steps of the server's own site job: `policy_kind("kernel")` →
 //! `config` plus an attached metrics observer → `mediator()` →
 //! `run_schedule_with` → `analyze` → `with_labels`. One warm-up site runs
-//! first, so one-time work (the per-defense kernel plan, lazily read
-//! environment flags) is not billed to any program.
+//! first, so one-time work (the per-defense kernel plan) is not billed to
+//! any program.
 //!
 //! Every program has a ceiling. A change may lower a ceiling, never raise
 //! one: a site's set-up cost is part of the served path's budget. CI runs

@@ -870,7 +870,6 @@ mod tests {
     fn job(site: &str, seed: u64, cost_ms: u64) -> SiteJob {
         SiteJob::new(site, seed, move |ctx| {
             let mut m = jsk_observe::Observer::new();
-            use jsk_observe::Subscriber;
             let c = m.intern("site.runs");
             m.counter_add(c, 1);
             SiteOutput {

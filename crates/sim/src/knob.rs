@@ -2,13 +2,12 @@
 //! variables.
 //!
 //! Every crate that reads a knob (`JSK_TRIALS`, `JSK_FUZZ_ITERS`,
-//! `JSK_PROVE_DEPTH`, `JSK_SCAN_TICKER_SENDS`, …) goes through this
+//! `JSK_PROVE_DEPTH`, `JSK_HOTPATH_ROUNDS`, …) goes through this
 //! parser so the fallback semantics are identical everywhere: unset
 //! means the default, present-but-invalid means the default *plus a
 //! stderr warning* — a typo must never masquerade as deliberate
 //! configuration. Lives in `jsk-sim` (the workspace's base crate) so the
-//! analyzers can use it without depending on the bench harness;
-//! `jsk-bench` re-exports it for its existing callers.
+//! analyzers can use it without depending on the bench harness.
 
 /// Reads a positive integer knob from the environment.
 ///
@@ -56,6 +55,8 @@ mod tests {
         assert_eq!(parse_knob("JSK_X", "abc", 7), 7);
         assert_eq!(parse_knob("JSK_X", "", 7), 7);
         assert_eq!(parse_knob("JSK_X", "12.5", 7), 7);
+        assert_eq!(parse_knob("JSK_X", "1e6", 7), 7, "no exponent notation");
+        assert_eq!(parse_knob("JSK_X", " 250000 ", 7), 250_000);
         assert_eq!(parse_knob("JSK_X", "0", 7), 7);
         assert_eq!(parse_knob("JSK_X", "-3", 7), 7);
     }
@@ -68,5 +69,7 @@ mod tests {
         assert_eq!(env_knob("JSK_SIM_KNOB_VALID", 7), 9);
         std::env::set_var("JSK_SIM_KNOB_BAD", "nope");
         assert_eq!(env_knob("JSK_SIM_KNOB_BAD", 7), 7);
+        std::env::set_var("JSK_SIM_KNOB_ZERO", "0");
+        assert_eq!(env_knob("JSK_SIM_KNOB_ZERO", 7), 7);
     }
 }

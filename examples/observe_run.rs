@@ -13,10 +13,9 @@
 //! # then load trace.perfetto.json at https://ui.perfetto.dev
 //! ```
 //!
-//! Knobs: `JSK_OBSERVE=0` disables the observer (the run still prints the
-//! oracle verdict); `JSK_OBSERVE_OUT=<dir>` redirects the two output files
-//! (default: current directory). Timestamps are simulated time, so the
-//! trace is byte-identical across machines and `JSK_JOBS` settings.
+//! `JSK_OBSERVE_OUT=<dir>` redirects the two output files (default: the
+//! current directory). Timestamps are simulated time, so the trace is
+//! byte-identical across machines and `JSK_JOBS` settings.
 
 use jskernel::attacks::cve_exploits::Exploit2018_5092;
 use jskernel::attacks::harness::CveExploit;
@@ -30,35 +29,13 @@ fn main() {
     let exploit = Exploit2018_5092;
     let defense = DefenseKind::JsKernel;
 
-    if !jsk_observe::enabled_from_env() {
-        let result = jskernel::attacks::harness::run_cve_attack(&exploit, defense, seed);
-        println!(
-            "JSK_OBSERVE=0: observer disabled; {} {} the exploit (no trace written)",
-            result.defense,
-            if result.defended() {
-                "defended against"
-            } else {
-                "was triggered by"
-            }
-        );
-        return;
-    }
-
     // The exploit's interval registers ~1M kernel events before the
     // deferred termination settles; cap the buffer at the opening of the
     // run — registration, first dispatches, the policy denial — which is
     // the part the walkthrough in docs/BOOK.md reads. Metrics still cover
-    // the whole run. `JSK_OBSERVE_TRACE=0` skips the buffer entirely
-    // (metrics-only — the always-on accounting configuration).
+    // the whole run.
     let cap = 200_000;
-    let trace_on = std::env::var("JSK_OBSERVE_TRACE")
-        .map_or(true, |v| !matches!(v.trim(), "0" | "false" | "off"));
-    let obs = if trace_on {
-        jsk_observe::Observer::with_trace_capacity(cap)
-    } else {
-        jsk_observe::Observer::new()
-    }
-    .shared();
+    let obs = jsk_observe::Observer::with_trace_capacity(cap).shared();
     let mut cfg = defense
         .config(seed)
         .with_observer(jsk_observe::handle_of(&obs));
@@ -82,27 +59,23 @@ fn main() {
         defense.label(),
         if triggered { "TRIGGERED" } else { "defended" }
     );
-    if trace_on {
-        let trace_json = observer.chrome_trace_json();
-        let summary = jsk_observe::chrome::validate(&trace_json).expect("trace validates");
-        std::fs::write(&trace_path, &trace_json).expect("write trace");
+    let trace_json = observer.chrome_trace_json();
+    let summary = jsk_observe::chrome::validate(&trace_json).expect("trace validates");
+    std::fs::write(&trace_path, &trace_json).expect("write trace");
+    println!(
+        "trace: {} events ({} sync spans, {} async spans, {} instants) -> {}",
+        summary.events,
+        summary.spans,
+        summary.async_spans,
+        summary.instants,
+        trace_path.display()
+    );
+    if observer.dropped_events() > 0 {
         println!(
-            "trace: {} events ({} sync spans, {} async spans, {} instants) -> {}",
-            summary.events,
-            summary.spans,
-            summary.async_spans,
-            summary.instants,
-            trace_path.display()
+            "trace: buffer capped at {cap} events; {} later events dropped \
+             (metrics still cover the full run)",
+            observer.dropped_events()
         );
-        if observer.dropped_events() > 0 {
-            println!(
-                "trace: buffer capped at {cap} events; {} later events dropped \
-                 (metrics still cover the full run)",
-                observer.dropped_events()
-            );
-        }
-    } else {
-        println!("trace: disabled (JSK_OBSERVE_TRACE=0), metrics only");
     }
     println!(
         "metrics: registered={} confirmed={} dispatched={} denials={} -> {}",
@@ -112,7 +85,5 @@ fn main() {
         metrics.counter("kernel.denials"),
         metrics_path.display()
     );
-    if trace_on {
-        println!("load the trace at https://ui.perfetto.dev (or chrome://tracing)");
-    }
+    println!("load the trace at https://ui.perfetto.dev (or chrome://tracing)");
 }
