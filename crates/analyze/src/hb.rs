@@ -31,27 +31,35 @@ use jsk_browser::trace::{
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// The happens-before graph of one trace.
+/// The happens-before graph of one trace. It borrows the trace's string
+/// table to resolve labels when a finding is materialized.
 #[derive(Debug)]
-pub struct HbGraph {
-    /// Node labels as symbols (`None` for ids the trace never recorded);
-    /// resolved against `strings` only when a finding is materialized.
-    labels: Vec<Option<Sym>>,
-    /// The trace's string table, carried so the graph can resolve symbols
-    /// without borrowing the trace.
-    strings: Interner,
-    threads: Vec<ThreadId>,
-    parents: Vec<Option<u64>>,
-    /// Per-node ancestor bitset, one word per 64 nodes.
-    reach: Vec<Vec<u64>>,
+pub struct HbGraph<'t> {
+    /// One row per node id, gaps included.
+    nodes: Vec<Node>,
+    strings: &'t Interner,
+    /// Words per [`reach`](Self::reach) row: one bit per node.
+    blocks: usize,
+    /// Ancestor bitsets: row `i` is words `i * blocks .. (i + 1) * blocks`,
+    /// bit `a` set when node `a` happens before node `i`.
+    reach: Vec<u64>,
 }
 
-impl HbGraph {
+/// What the graph keeps of one node.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// `None` for ids the trace never recorded.
+    label: Option<Sym>,
+    thread: ThreadId,
+    parent: Option<u64>,
+}
+
+impl<'t> HbGraph<'t> {
     /// Builds the graph from a trace: nodes and fork edges from the
     /// [`NodeRecord`]s, explicit edges from the kernel's
     /// [`HbEdge`](jsk_browser::trace::HbEdge) announcements.
     #[must_use]
-    pub fn from_trace(trace: &Trace) -> HbGraph {
+    pub fn from_trace(trace: &'t Trace) -> HbGraph<'t> {
         HbGraph::from_trace_filtered(trace, |_| true)
     }
 
@@ -63,30 +71,37 @@ impl HbGraph {
     /// arbitrary ordering choice — and ask what the *semantic* order alone
     /// still rules out.
     #[must_use]
-    pub fn from_trace_filtered(trace: &Trace, keep: impl Fn(EdgeKind) -> bool) -> HbGraph {
+    pub fn from_trace_filtered(trace: &'t Trace, keep: impl Fn(EdgeKind) -> bool) -> HbGraph<'t> {
         let n = trace
             .nodes()
             .map(|(_, rec)| rec.node as usize + 1)
             .max()
             .unwrap_or(0);
-        let mut labels = vec![None; n];
-        let mut threads = vec![ThreadId::new(0); n];
-        let mut parents = vec![None; n];
-        let mut preds: Vec<Vec<u64>> = vec![Vec::new(); n];
+        let mut nodes = vec![
+            Node {
+                label: None,
+                thread: ThreadId::new(0),
+                parent: None,
+            };
+            n
+        ];
+        // Every edge as (to, from), with from < to.
+        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n);
         for (_, rec) in trace.nodes() {
             let NodeRecord {
                 node,
                 thread,
                 forked_from,
                 label,
-            } = rec;
-            let i = *node as usize;
-            labels[i] = Some(*label);
-            threads[i] = *thread;
-            parents[i] = *forked_from;
+            } = *rec;
+            nodes[node as usize] = Node {
+                label: Some(label),
+                thread,
+                parent: forked_from,
+            };
             if let Some(p) = forked_from {
-                if *p < *node {
-                    preds[i].push(*p);
+                if p < node {
+                    edges.push((node as usize, p as usize));
                 }
             }
         }
@@ -95,27 +110,27 @@ impl HbGraph {
             // only come from a corrupted trace, so it is dropped rather than
             // allowed to poison reachability.
             if keep(edge.kind) && edge.from < edge.to && (edge.to as usize) < n {
-                preds[edge.to as usize].push(edge.from);
+                edges.push((edge.to as usize, edge.from as usize));
             }
         }
+        // Sorted by destination, every edge into a node comes after all
+        // edges into its predecessors, so each source row is final by the
+        // time it is folded in: one forward pass closes the graph.
+        edges.sort_unstable();
         let blocks = n.div_ceil(64);
-        let mut reach: Vec<Vec<u64>> = Vec::with_capacity(n);
-        for node_preds in &preds {
-            let mut bits = vec![0u64; blocks];
-            for &p in node_preds {
-                let p = p as usize;
-                for (b, word) in bits.iter_mut().enumerate() {
-                    *word |= reach[p][b];
-                }
-                bits[p / 64] |= 1 << (p % 64);
+        let mut reach = vec![0u64; n * blocks];
+        for (to, from) in edges {
+            let (done, rest) = reach.split_at_mut(to * blocks);
+            let row = &mut rest[..blocks];
+            for (word, pred) in row.iter_mut().zip(&done[from * blocks..][..blocks]) {
+                *word |= pred;
             }
-            reach.push(bits);
+            row[from / 64] |= 1 << (from % 64);
         }
         HbGraph {
-            labels,
-            strings: trace.strings().clone(),
-            threads,
-            parents,
+            nodes,
+            strings: trace.strings(),
+            blocks,
             reach,
         }
     }
@@ -123,16 +138,16 @@ impl HbGraph {
     /// Number of task nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.labels.len()
+        self.nodes.len()
     }
 
     /// Whether `a` happens before `b` (strictly).
     #[must_use]
     pub fn happens_before(&self, a: u64, b: u64) -> bool {
         let (a, b) = (a as usize, b as usize);
-        a < self.labels.len()
-            && b < self.labels.len()
-            && (self.reach[b][a / 64] >> (a % 64)) & 1 == 1
+        a < self.nodes.len()
+            && b < self.nodes.len()
+            && (self.reach[b * self.blocks + a / 64] >> (a % 64)) & 1 == 1
     }
 
     /// Whether the pair is ordered either way (or is the same node).
@@ -144,17 +159,16 @@ impl HbGraph {
     /// The node's label (empty for ids the trace never recorded).
     #[must_use]
     pub fn label(&self, node: u64) -> &str {
-        self.labels
+        self.nodes
             .get(node as usize)
-            .copied()
-            .flatten()
+            .and_then(|n| n.label)
             .map_or("", |sym| self.strings.resolve(sym))
     }
 
     /// The thread the node's task ran on.
     #[must_use]
     pub fn thread(&self, node: u64) -> Option<ThreadId> {
-        self.threads.get(node as usize).copied()
+        self.nodes.get(node as usize).map(|n| n.thread)
     }
 
     /// The fork-ancestry chain root..=node.
@@ -162,7 +176,7 @@ impl HbGraph {
     pub fn fork_chain(&self, node: u64) -> Vec<u64> {
         let mut chain = vec![node];
         let mut cur = node;
-        while let Some(&Some(p)) = self.parents.get(cur as usize) {
+        while let Some(p) = self.nodes.get(cur as usize).and_then(|n| n.parent) {
             // Defensive: a malformed parent pointer must not loop.
             if p >= cur {
                 break;
@@ -269,7 +283,7 @@ pub struct RaceFinding {
 /// are deduplicated by `(target, first.what, second.what)` and sorted
 /// deterministically.
 #[must_use]
-pub fn detect_races(trace: &Trace, graph: &HbGraph) -> Vec<RaceFinding> {
+pub fn detect_races(trace: &Trace, graph: &HbGraph<'_>) -> Vec<RaceFinding> {
     let mut by_target: BTreeMap<AccessTarget, Vec<&AccessRecord>> = BTreeMap::new();
     for (_, access) in trace.accesses() {
         by_target.entry(access.target).or_default().push(access);

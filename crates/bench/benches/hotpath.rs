@@ -215,10 +215,10 @@ fn trace_record(rounds: usize) -> (Phase, u64) {
 fn observe_hooks(rounds: u64) -> (Phase, u64, jsk_observe::MetricsSnapshot) {
     let obs = jsk_observe::Observer::new().shared();
     let handle = jsk_observe::handle_of(&obs);
-    let dispatch = handle.intern("kernel.dispatch");
-    let dispatched = handle.intern("kernel.dispatched");
-    let latency = handle.intern("kernel.dispatch_latency_ticks");
-    let depth = handle.intern("kernel.equeue_depth");
+    let dispatch = jsk_observe::intern("kernel.dispatch");
+    let dispatched = jsk_observe::intern("kernel.dispatched");
+    let latency = jsk_observe::intern("kernel.dispatch_latency_ticks");
+    let depth = jsk_observe::intern("kernel.equeue_depth");
     let phase = timed("observe-hooks", || {
         for i in 0..rounds {
             let t = SimTime::from_millis(i);

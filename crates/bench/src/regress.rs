@@ -383,11 +383,10 @@ mod tests {
 
     fn metrics(pairs: &[(&str, u64)]) -> jsk_observe::MetricsSnapshot {
         let mut reg = jsk_observe::MetricsRegistry::default();
-        let mut strings = jsk_observe::Interner::default();
         for (name, v) in pairs {
-            reg.counter_add(strings.intern(name), *v);
+            reg.counter_add(jsk_observe::intern(name), *v);
         }
-        reg.snapshot(&strings)
+        reg.snapshot()
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::event::{AsyncEventInfo, AsyncKind};
 use crate::ids::{
     BufferId, EventToken, RequestId, SabId, SignalId, ThreadId, TimerId, WorkerId, MAIN_THREAD,
 };
-use crate::mediator::{ApiOutcome, ConfirmDecision, Mediator, MediatorCtx, MediatorOp};
+use crate::mediator::{ApiOutcome, ConfirmDecision, KernelMsg, Mediator, MediatorCtx, MediatorOp};
 use crate::net::{ContentCache, NetState, ResourceSpec};
 use crate::profile::BrowserProfile;
 use crate::scope::JsScope;
@@ -40,6 +40,7 @@ use jsk_sim::rng::SimRng;
 use jsk_sim::time::{SimDuration, SimTime};
 use jsk_sim::token_table::TokenTable;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::LazyLock;
 
 /// Configuration of one browser instance.
 #[derive(Debug, Clone)]
@@ -112,8 +113,8 @@ impl BrowserConfig {
     }
 }
 
-/// Pre-interned browser-side observability names (interned once when the
-/// observer attaches, so the hooks never touch a string).
+/// The browser's observability names, as process-wide symbols
+/// ([`jsk_observe::intern`]) taken once per process.
 #[derive(Debug)]
 struct BrowserSyms {
     task: jsk_observe::Sym,
@@ -129,33 +130,47 @@ struct BrowserSyms {
     worker_crashes: jsk_observe::Sym,
 }
 
-/// The browser's attached observer plus its interned names.
+impl BrowserSyms {
+    /// The names, interned on first use.
+    fn get() -> &'static BrowserSyms {
+        static SYMS: LazyLock<BrowserSyms> = LazyLock::new(|| {
+            let intern = jsk_observe::intern;
+            BrowserSyms {
+                task: intern("browser.task"),
+                tasks: intern("browser.tasks"),
+                fetches_started: intern("browser.fetches_started"),
+                fetches_settled: intern("browser.fetches_settled"),
+                workers_started: intern("browser.workers_started"),
+                workers_terminated: intern("browser.workers_terminated"),
+                worker_started: intern("browser.worker_started"),
+                worker_terminated: intern("browser.worker_terminated"),
+                confirm_dropped: intern("fault.confirm_dropped"),
+                confirm_delayed: intern("fault.confirm_delayed"),
+                worker_crashes: intern("fault.worker_crashes"),
+            }
+        });
+        &SYMS
+    }
+}
+
+/// The browser's attached observer plus its names.
 #[derive(Debug)]
 struct ObsCtx {
     handle: jsk_observe::ObsHandle,
-    syms: BrowserSyms,
+    syms: &'static BrowserSyms,
 }
 
 impl ObsCtx {
     fn new(handle: jsk_observe::ObsHandle) -> ObsCtx {
-        let syms = BrowserSyms {
-            task: handle.intern("browser.task"),
-            tasks: handle.intern("browser.tasks"),
-            fetches_started: handle.intern("browser.fetches_started"),
-            fetches_settled: handle.intern("browser.fetches_settled"),
-            workers_started: handle.intern("browser.workers_started"),
-            workers_terminated: handle.intern("browser.workers_terminated"),
-            worker_started: handle.intern("browser.worker_started"),
-            worker_terminated: handle.intern("browser.worker_terminated"),
-            confirm_dropped: handle.intern("fault.confirm_dropped"),
-            confirm_delayed: handle.intern("fault.confirm_delayed"),
-            worker_crashes: handle.intern("fault.worker_crashes"),
-        };
-        ObsCtx { handle, syms }
+        ObsCtx {
+            handle,
+            syms: BrowserSyms::get(),
+        }
     }
 }
 
 /// Browser-level simulation events.
+#[derive(Clone, Copy)]
 enum SimEvent {
     /// Try to run the next task on a thread.
     Pump(ThreadId),
@@ -172,7 +187,7 @@ enum SimEvent {
     KernelMessage {
         from: ThreadId,
         to: ThreadId,
-        payload: JsValue,
+        payload: KernelMsg,
         /// HB node the send was attributed to, restored into the receiving
         /// hook's context so kernel replies keep their provenance.
         sender_node: Option<u64>,
@@ -855,7 +870,7 @@ impl Browser {
                 // The receiving hook runs outside any task; attribute it (and
                 // any replies it sends) to the original sender's node.
                 self.hb_ctx_node = sender_node;
-                self.with_mediator(|m, ctx| m.on_kernel_message(ctx, from, to, &payload));
+                self.with_mediator(|m, ctx| m.on_kernel_message(ctx, from, to, payload));
                 self.hb_ctx_node = None;
             }
             SimEvent::WorkerCrash(index) => self.crash_worker(index),
@@ -2114,32 +2129,34 @@ impl Browser {
     }
 
     /// The delivery instants for one cross-thread message after fault
-    /// injection: `[]` = lost, one instant = normal, two = duplicated. A
-    /// reordered message keeps the channel's FIFO high-water mark at its
-    /// *undelayed* arrival, so later sends can overtake it.
+    /// injection, in order: none = lost, one instant = normal, two =
+    /// duplicated. A reordered message keeps the channel's FIFO high-water
+    /// mark at its *undelayed* arrival, so later sends can overtake it.
+    /// The instants are computed up front; the iterator borrows nothing.
     pub(crate) fn message_arrivals(
         &mut self,
         from: ThreadId,
         to: ThreadId,
         proposed: SimTime,
-    ) -> Vec<SimTime> {
+    ) -> impl Iterator<Item = SimTime> {
         let fate = match self.fault.as_mut() {
             Some(inj) => inj.message_fate(),
             None => MessageFate::Deliver,
         };
-        match fate {
-            MessageFate::Deliver => vec![self.channel_arrival(from, to, proposed)],
-            MessageFate::Drop => Vec::new(),
+        let (first, second) = match fate {
+            MessageFate::Deliver => (Some(self.channel_arrival(from, to, proposed)), None),
+            MessageFate::Drop => (None, None),
             MessageFate::Duplicate => {
                 let first = self.channel_arrival(from, to, proposed);
                 let second = self.channel_arrival(from, to, first);
-                vec![first, second]
+                (Some(first), Some(second))
             }
             MessageFate::Delay(d) => {
                 let at = self.channel_arrival(from, to, proposed);
-                vec![at + d]
+                (Some(at + d), None)
             }
-        }
+        };
+        first.into_iter().chain(second)
     }
 }
 

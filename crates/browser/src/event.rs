@@ -67,21 +67,38 @@ pub enum AsyncKind {
 }
 
 impl AsyncKind {
-    /// Short label for traces and debugging.
+    /// How many kinds there are; [`AsyncKind::index`] is below this.
+    pub const COUNT: usize = 8;
+
+    /// The kind's dense index (payload ignored), in declaration order: the
+    /// row of [`KEVENT_NAMES`] that names it.
     #[must_use]
-    pub fn label(&self) -> &'static str {
+    pub fn index(&self) -> usize {
         match self {
-            AsyncKind::Timeout { .. } => "timeout",
-            AsyncKind::Interval { .. } => "interval",
-            AsyncKind::Message { .. } => "message",
-            AsyncKind::Raf => "raf",
-            AsyncKind::Net { .. } => "net",
-            AsyncKind::Media => "media",
-            AsyncKind::CssTick => "css-tick",
-            AsyncKind::Idb => "idb",
+            AsyncKind::Timeout { .. } => 0,
+            AsyncKind::Interval { .. } => 1,
+            AsyncKind::Message { .. } => 2,
+            AsyncKind::Raf => 3,
+            AsyncKind::Net { .. } => 4,
+            AsyncKind::Media => 5,
+            AsyncKind::CssTick => 6,
+            AsyncKind::Idb => 7,
         }
     }
 }
+
+/// The span name of each kind, by [`AsyncKind::index`]: a kernel traces an
+/// event's register→dispatch lifetime as an async span of this name.
+pub const KEVENT_NAMES: [&str; AsyncKind::COUNT] = [
+    "kevent.timeout",
+    "kevent.interval",
+    "kevent.message",
+    "kevent.raf",
+    "kevent.net",
+    "kevent.media",
+    "kevent.css-tick",
+    "kevent.idb",
+];
 
 /// Description of one registered asynchronous event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -123,7 +140,8 @@ mod tests {
             AsyncKind::CssTick,
             AsyncKind::Idb,
         ];
-        let labels: std::collections::HashSet<_> = kinds.iter().map(AsyncKind::label).collect();
+        let labels: std::collections::HashSet<_> =
+            kinds.iter().map(|k| KEVENT_NAMES[k.index()]).collect();
         assert_eq!(labels.len(), kinds.len());
     }
 }

@@ -15,9 +15,8 @@
 //! [`MediatorOp`]s that the browser applies after the hook returns.
 
 use crate::event::AsyncEventInfo;
-use crate::ids::{EventToken, ThreadId};
-use crate::trace::{ApiCall, EdgeKind};
-use crate::value::JsValue;
+use crate::ids::{EventToken, RequestId, ThreadId, WorkerId};
+use crate::trace::{ApiCall, EdgeKind, Sym};
 use jsk_sim::rng::SimRng;
 use jsk_sim::time::{SimDuration, SimTime};
 
@@ -101,8 +100,74 @@ pub enum ApiOutcome {
     DropQuietly,
 }
 
+/// A kernel-space message (paper §III-E2): the traffic of the overlay
+/// the per-thread kernels share. The paper wraps user messages in an
+/// object whose `type` field tells kernel from user traffic; here the
+/// message type itself is that field — kernel messages travel as their
+/// own [`MediatorOp::KernelSend`] and never share a channel with user
+/// `postMessage` traffic. Listing 4's `pendingChildFetch` /
+/// `confirmFetch` / `cleanWorker` protocol rides this overlay, as do the
+/// clock-exchange and thread-source messages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelMsg {
+    /// A worker-side kernel announces a fetch going in flight (Listing 4,
+    /// `postSysMsg("pendingChildFetch", kernelFetch.id)`).
+    PendingChildFetch {
+        /// The request.
+        req: RequestId,
+        /// The announcing worker.
+        worker: WorkerId,
+    },
+    /// The main-side kernel confirms receipt (Listing 4,
+    /// `postSysMsg("confirmFetch", e.id)`).
+    ConfirmFetch {
+        /// The request.
+        req: RequestId,
+    },
+    /// A worker-side kernel reports its fetch settled, releasing the
+    /// liveness obligation.
+    FetchSettled {
+        /// The request.
+        req: RequestId,
+        /// The reporting worker.
+        worker: WorkerId,
+    },
+    /// The main-side kernel schedules a liveness check that closes the
+    /// kernel worker once it is safe (Listing 4's `cleanWorker` event).
+    CleanWorker {
+        /// The worker to check.
+        worker: WorkerId,
+    },
+    /// Clock exchange between per-thread kernels (§III-E2: "exchanging a
+    /// clock").
+    ClockSync {
+        /// The sender's kernel-clock reading, in nanoseconds.
+        kclock_ns: u64,
+    },
+    /// Thread-source passing (§III-E2: "passing thread source").
+    ThreadSource {
+        /// The worker whose source travels.
+        worker: WorkerId,
+        /// The source URL, as a symbol in the browser trace's table.
+        src: Sym,
+    },
+}
+
+impl KernelMsg {
+    /// Whether this message induces a happens-before ordering between its
+    /// sender's task and the receiving thread's subsequent work. All of the
+    /// confirm/release protocol does; a [`ClockSync`](KernelMsg::ClockSync)
+    /// does not — it carries a clock reading, not an obligation, and
+    /// treating it as an ordering edge would over-approximate HB and mask
+    /// real races.
+    #[must_use]
+    pub fn induces_hb(&self) -> bool {
+        !matches!(self, KernelMsg::ClockSync { .. })
+    }
+}
+
 /// A deferred effect queued by a mediator hook.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MediatorOp {
     /// Enqueue the withheld event's callback at the given instant.
     Release {
@@ -123,16 +188,15 @@ pub enum MediatorOp {
         /// When.
         at: SimTime,
     },
-    /// Deliver a kernel-space message (the paper's overlay channel with a
-    /// `type` field distinguishing kernel from user traffic, §III-E2) to
-    /// [`Mediator::on_kernel_message`] at `at`.
+    /// Deliver a kernel-space message (the paper's overlay channel,
+    /// §III-E2) to [`Mediator::on_kernel_message`] at `at`.
     KernelSend {
         /// Sending thread.
         from: ThreadId,
         /// Receiving thread.
         to: ThreadId,
         /// Payload.
-        payload: JsValue,
+        payload: KernelMsg,
         /// Delivery instant.
         at: SimTime,
         /// The HB node the send is attributed to (the task the hook ran
@@ -217,7 +281,7 @@ impl<'a> MediatorCtx<'a> {
     /// Queues a kernel-space message. The send is attributed to the HB node
     /// of the task the hook is running inside (if any), so a reply forwarded
     /// from `on_kernel_message` inherits the original sender's provenance.
-    pub fn kernel_send(&mut self, from: ThreadId, to: ThreadId, payload: JsValue, at: SimTime) {
+    pub fn kernel_send(&mut self, from: ThreadId, to: ThreadId, payload: KernelMsg, at: SimTime) {
         self.ops.push(MediatorOp::KernelSend {
             from,
             to,
@@ -351,7 +415,7 @@ pub trait Mediator {
         ctx: &mut MediatorCtx<'_>,
         from: ThreadId,
         to: ThreadId,
-        payload: &JsValue,
+        payload: KernelMsg,
     ) {
         let _ = (ctx, from, to, payload);
     }

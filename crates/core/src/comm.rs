@@ -6,113 +6,32 @@
 //! object and uses a special field, i.e., a type field, in the object to
 //! indicate whether it is a kernel- or user-space communication."
 //!
-//! [`KernelMsg`] is the typed kernel traffic; it encodes to/from a
-//! [`JsValue`] whose `type` field is the reserved marker `"jsk"`. Listing 4's
-//! `pendingChildFetch` / `confirmFetch` / `cleanWorker` protocol rides this
-//! overlay, as do the clock-exchange and thread-source messages of §III-E2.
+//! In the simulator that type field is the message type itself: a
+//! [`KernelMsg`] travels as its own typed payload through
+//! `MediatorCtx::kernel_send` and arrives at `Mediator::on_kernel_message`
+//! unchanged, so kernel traffic never shares a channel with user
+//! `postMessage` traffic and nothing has to tell the two apart on
+//! arrival. Listing 4's `pendingChildFetch` / `confirmFetch` /
+//! `cleanWorker` protocol rides this overlay, as do the clock-exchange and
+//! thread-source messages of §III-E2. The enum lives at the browser's
+//! mediator seam (`jsk_browser::mediator`), which carries it; this module
+//! re-exports it under its paper name.
 
-use jsk_browser::ids::{RequestId, WorkerId};
-use jsk_browser::trace::Sym;
-use jsk_browser::value::JsValue;
-use serde::{Deserialize, Serialize};
-
-/// The reserved `type` field marking kernel-space traffic.
-pub const KERNEL_TYPE: &str = "jsk";
-
-/// A kernel-space message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum KernelMsg {
-    /// A worker-side kernel announces a fetch going in flight (Listing 4,
-    /// `postSysMsg("pendingChildFetch", kernelFetch.id)`).
-    PendingChildFetch {
-        /// The request.
-        req: RequestId,
-        /// The announcing worker.
-        worker: WorkerId,
-    },
-    /// The main-side kernel confirms receipt (Listing 4,
-    /// `postSysMsg("confirmFetch", e.id)`).
-    ConfirmFetch {
-        /// The request.
-        req: RequestId,
-    },
-    /// A worker-side kernel reports its fetch settled, releasing the
-    /// liveness obligation.
-    FetchSettled {
-        /// The request.
-        req: RequestId,
-        /// The reporting worker.
-        worker: WorkerId,
-    },
-    /// The main-side kernel schedules a liveness check that closes the
-    /// kernel worker once it is safe (Listing 4's `cleanWorker` event).
-    CleanWorker {
-        /// The worker to check.
-        worker: WorkerId,
-    },
-    /// Clock exchange between per-thread kernels (§III-E2: "exchanging a
-    /// clock").
-    ClockSync {
-        /// The sender's kernel-clock reading, in nanoseconds.
-        kclock_ns: u64,
-    },
-    /// Thread-source passing (§III-E2: "passing thread source").
-    ThreadSource {
-        /// The worker whose source travels.
-        worker: WorkerId,
-        /// The source URL, as a symbol in the browser trace's table.
-        src: Sym,
-    },
-}
-
-impl KernelMsg {
-    /// Encodes into the overlay wire format: an object with the reserved
-    /// `type` field and a JSON-encoded body.
-    #[must_use]
-    pub fn encode(&self) -> JsValue {
-        let body = serde_json::to_string(self).expect("KernelMsg is serializable");
-        JsValue::object([
-            ("type", JsValue::from(KERNEL_TYPE)),
-            ("body", JsValue::from(body)),
-        ])
-    }
-
-    /// Decodes from the overlay wire format; `None` when the value is
-    /// user-space traffic (wrong or missing `type` field) or malformed.
-    #[must_use]
-    pub fn decode(value: &JsValue) -> Option<KernelMsg> {
-        if value.get("type").and_then(JsValue::as_str) != Some(KERNEL_TYPE) {
-            return None;
-        }
-        let body = value.get("body").and_then(JsValue::as_str)?;
-        serde_json::from_str(body).ok()
-    }
-
-    /// Whether a wire value is kernel-space traffic.
-    #[must_use]
-    pub fn is_kernel_traffic(value: &JsValue) -> bool {
-        value.get("type").and_then(JsValue::as_str) == Some(KERNEL_TYPE)
-    }
-
-    /// Whether this message induces a happens-before ordering between its
-    /// sender's task and the receiving thread's subsequent work. All of the
-    /// confirm/release protocol does; a [`ClockSync`](KernelMsg::ClockSync)
-    /// does not — it carries a clock reading, not an obligation, and
-    /// treating it as an ordering edge would over-approximate HB and mask
-    /// real races.
-    #[must_use]
-    pub fn induces_hb(&self) -> bool {
-        !matches!(self, KernelMsg::ClockSync { .. })
-    }
-}
+pub use jsk_browser::mediator::KernelMsg;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jsk_browser::browser::{Browser, BrowserConfig};
+    use jsk_browser::ids::{RequestId, ThreadId, WorkerId, MAIN_THREAD};
+    use jsk_browser::mediator::{Mediator, MediatorCtx};
+    use jsk_browser::profile::BrowserProfile;
+    use jsk_sim::time::SimTime;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    #[test]
-    fn round_trips_all_variants() {
-        let msgs = [
+    fn every_variant() -> [KernelMsg; 6] {
+        [
             KernelMsg::PendingChildFetch {
                 req: RequestId::new(1),
                 worker: WorkerId::new(2),
@@ -132,12 +51,49 @@ mod tests {
                 worker: WorkerId::new(2),
                 src: jsk_browser::trace::Interner::new().intern("worker.js"),
             },
-        ];
-        for m in msgs {
-            let wire = m.encode();
-            assert!(KernelMsg::is_kernel_traffic(&wire));
-            assert_eq!(KernelMsg::decode(&wire), Some(m));
+        ]
+    }
+
+    /// Sends every variant once the main thread starts and records what
+    /// arrives.
+    struct Echo(Rc<RefCell<Vec<(ThreadId, ThreadId, KernelMsg)>>>);
+
+    impl Mediator for Echo {
+        fn name(&self) -> &str {
+            "echo"
         }
+
+        fn on_thread_started(&mut self, ctx: &mut MediatorCtx<'_>, thread: ThreadId, _: bool) {
+            for (i, msg) in every_variant().into_iter().enumerate() {
+                let at = ctx.now + jsk_sim::time::SimDuration::from_micros(i as u64);
+                ctx.kernel_send(thread, ThreadId::new(7), msg, at);
+            }
+        }
+
+        fn on_kernel_message(
+            &mut self,
+            _: &mut MediatorCtx<'_>,
+            from: ThreadId,
+            to: ThreadId,
+            payload: KernelMsg,
+        ) {
+            self.0.borrow_mut().push((from, to, payload));
+        }
+    }
+
+    #[test]
+    fn every_variant_arrives_unchanged_through_kernel_send() {
+        let arrived = Rc::new(RefCell::new(Vec::new()));
+        let mut browser = Browser::new(
+            BrowserConfig::new(BrowserProfile::chrome(), 1),
+            Box::new(Echo(arrived.clone())),
+        );
+        browser.run_until(SimTime::from_millis(1));
+        let expected: Vec<_> = every_variant()
+            .into_iter()
+            .map(|msg| (MAIN_THREAD, ThreadId::new(7), msg))
+            .collect();
+        assert_eq!(*arrived.borrow(), expected);
     }
 
     #[test]
@@ -151,25 +107,5 @@ mod tests {
             worker: WorkerId::new(0)
         }
         .induces_hb());
-    }
-
-    #[test]
-    fn user_traffic_is_not_decoded() {
-        let user = JsValue::object([
-            ("type", JsValue::from("user")),
-            ("data", JsValue::from(1.0)),
-        ]);
-        assert!(!KernelMsg::is_kernel_traffic(&user));
-        assert!(KernelMsg::decode(&user).is_none());
-        assert!(KernelMsg::decode(&JsValue::from(3.0)).is_none());
-    }
-
-    #[test]
-    fn malformed_kernel_body_is_rejected() {
-        let bad = JsValue::object([
-            ("type", JsValue::from(KERNEL_TYPE)),
-            ("body", JsValue::from("{not json")),
-        ]);
-        assert!(KernelMsg::decode(&bad).is_none());
     }
 }

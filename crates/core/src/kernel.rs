@@ -18,7 +18,6 @@
 //! than physical time.
 
 use crate::check::InvariantChecker;
-use crate::comm::KernelMsg;
 use crate::config::KernelConfig;
 use crate::equeue::KernelEventQueue;
 use crate::kclock::KernelClock;
@@ -26,17 +25,16 @@ use crate::kevent::{KEventStatus, KernelEvent};
 use crate::policy::PolicyEngine;
 use crate::stats::KernelStats;
 use crate::threads::{KThreadStatus, ThreadManager};
-use jsk_browser::event::{AsyncEventInfo, AsyncKind};
+use jsk_browser::event::{AsyncEventInfo, AsyncKind, KEVENT_NAMES};
 use jsk_browser::ids::{EventToken, RequestId, ThreadId, WorkerId, MAIN_THREAD};
 use jsk_browser::mediator::{
-    ApiOutcome, ClockRead, ConfirmDecision, InterposeClass, Mediator, MediatorCtx,
+    ApiOutcome, ClockRead, ConfirmDecision, InterposeClass, KernelMsg, Mediator, MediatorCtx,
 };
 use jsk_browser::trace::{ApiCall, EdgeKind};
-use jsk_browser::value::JsValue;
 use jsk_sim::fasthash::FastMap;
 use jsk_sim::time::{SimDuration, SimTime};
 use jsk_sim::token_table::TokenTable;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Per-thread kernel state: the thread's own event queue and clock
 /// (§III-E1: "a kernel thread maintains a separate event queue and clock
@@ -143,7 +141,8 @@ fn stat_counters(s: &KernelStats) -> [(&'static str, u64); STAT_COUNTERS] {
     ]
 }
 
-/// Pre-interned kernel observability names.
+/// The kernel's observability names, as process-wide symbols
+/// ([`jsk_observe::intern`]) taken once per process.
 struct KernelSyms {
     dispatch: jsk_observe::Sym,
     equeue_drain: jsk_observe::Sym,
@@ -157,37 +156,44 @@ struct KernelSyms {
     policy_other: jsk_observe::Sym,
     equeue_depth: jsk_observe::Sym,
     dispatch_latency_ticks: jsk_observe::Sym,
-    kevent_timeout: jsk_observe::Sym,
-    kevent_interval: jsk_observe::Sym,
-    kevent_message: jsk_observe::Sym,
-    kevent_raf: jsk_observe::Sym,
-    kevent_net: jsk_observe::Sym,
-    kevent_media: jsk_observe::Sym,
-    kevent_css_tick: jsk_observe::Sym,
-    kevent_idb: jsk_observe::Sym,
+    /// The [`KEVENT_NAMES`], by [`AsyncKind::index`].
+    kevent: [jsk_observe::Sym; AsyncKind::COUNT],
 }
 
 impl KernelSyms {
+    /// The names, interned on first use.
+    fn get() -> &'static KernelSyms {
+        static SYMS: LazyLock<KernelSyms> = LazyLock::new(|| {
+            let intern = jsk_observe::intern;
+            KernelSyms {
+                dispatch: intern("kernel.dispatch"),
+                equeue_drain: intern("kernel.equeue_drain"),
+                policy_decide: intern("policy.decide"),
+                stats: stat_counters(&KernelStats::default()).map(|(name, _)| intern(name)),
+                policy_allow: intern("policy.allow"),
+                policy_deny: intern("policy.deny"),
+                policy_defer: intern("policy.defer_termination"),
+                policy_sanitize: intern("policy.sanitize_error"),
+                policy_other: intern("policy.other"),
+                equeue_depth: intern("kernel.equeue_depth"),
+                dispatch_latency_ticks: intern("kernel.dispatch_latency_ticks"),
+                kevent: KEVENT_NAMES.map(intern),
+            }
+        });
+        &SYMS
+    }
+
     /// The async-span name for an event kind's register→dispatch lifetime.
     fn kevent(&self, kind: AsyncKind) -> jsk_observe::Sym {
-        match kind {
-            AsyncKind::Timeout { .. } => self.kevent_timeout,
-            AsyncKind::Interval { .. } => self.kevent_interval,
-            AsyncKind::Message { .. } => self.kevent_message,
-            AsyncKind::Raf => self.kevent_raf,
-            AsyncKind::Net { .. } => self.kevent_net,
-            AsyncKind::Media => self.kevent_media,
-            AsyncKind::CssTick => self.kevent_css_tick,
-            AsyncKind::Idb => self.kevent_idb,
-        }
+        self.kevent[kind.index()]
     }
 }
 
-/// The kernel's attached observer, its interned names, and what has been
+/// The kernel's attached observer, its names, and what has been
 /// published into it so far.
 struct KernelObs {
     handle: jsk_observe::ObsHandle,
-    syms: KernelSyms,
+    syms: &'static KernelSyms,
     /// The [`stat_counters`] values as of the last publish.
     published: [u64; STAT_COUNTERS],
     /// A thread exited since the last publish. `kernel.orphans_reaped` is
@@ -198,32 +204,10 @@ struct KernelObs {
 
 impl KernelObs {
     fn new(handle: jsk_observe::ObsHandle, stats: &KernelStats) -> KernelObs {
-        let counters = stat_counters(stats);
-        let syms = KernelSyms {
-            dispatch: handle.intern("kernel.dispatch"),
-            equeue_drain: handle.intern("kernel.equeue_drain"),
-            policy_decide: handle.intern("policy.decide"),
-            stats: counters.map(|(name, _)| handle.intern(name)),
-            policy_allow: handle.intern("policy.allow"),
-            policy_deny: handle.intern("policy.deny"),
-            policy_defer: handle.intern("policy.defer_termination"),
-            policy_sanitize: handle.intern("policy.sanitize_error"),
-            policy_other: handle.intern("policy.other"),
-            equeue_depth: handle.intern("kernel.equeue_depth"),
-            dispatch_latency_ticks: handle.intern("kernel.dispatch_latency_ticks"),
-            kevent_timeout: handle.intern("kevent.timeout"),
-            kevent_interval: handle.intern("kevent.interval"),
-            kevent_message: handle.intern("kevent.message"),
-            kevent_raf: handle.intern("kevent.raf"),
-            kevent_net: handle.intern("kevent.net"),
-            kevent_media: handle.intern("kevent.media"),
-            kevent_css_tick: handle.intern("kevent.css-tick"),
-            kevent_idb: handle.intern("kevent.idb"),
-        };
         KernelObs {
             handle,
-            syms,
-            published: counters.map(|(_, value)| value),
+            syms: KernelSyms::get(),
+            published: stat_counters(stats).map(|(_, value)| value),
             thread_exited: false,
         }
     }
@@ -645,7 +629,7 @@ impl JsKernel {
                 ctx.kernel_send(
                     from,
                     MAIN_THREAD,
-                    KernelMsg::FetchSettled { req, worker }.encode(),
+                    KernelMsg::FetchSettled { req, worker },
                     ctx.now + self.plan.cfg.kernel_channel_latency,
                 );
             }
@@ -965,8 +949,7 @@ impl Mediator for JsKernel {
                     KernelMsg::ThreadSource {
                         worker: *worker,
                         src: *src,
-                    }
-                    .encode(),
+                    },
                     ctx.now + self.plan.cfg.kernel_channel_latency,
                 );
             }
@@ -980,7 +963,7 @@ impl Mediator for JsKernel {
                     ctx.kernel_send(
                         *thread,
                         MAIN_THREAD,
-                        KernelMsg::PendingChildFetch { req: *req, worker }.encode(),
+                        KernelMsg::PendingChildFetch { req: *req, worker },
                         ctx.now + self.plan.cfg.kernel_channel_latency,
                     );
                 }
@@ -1030,11 +1013,8 @@ impl Mediator for JsKernel {
         ctx: &mut MediatorCtx<'_>,
         from: ThreadId,
         to: ThreadId,
-        payload: &JsValue,
+        msg: KernelMsg,
     ) {
-        let Some(msg) = KernelMsg::decode(payload) else {
-            return;
-        };
         self.stats.kernel_messages += 1;
         // Obligation-carrying messages order the sending task before the
         // receiver's subsequent work; `ctx.node` carries the original
@@ -1053,7 +1033,7 @@ impl Mediator for JsKernel {
                 ctx.kernel_send(
                     MAIN_THREAD,
                     from,
-                    KernelMsg::ConfirmFetch { req }.encode(),
+                    KernelMsg::ConfirmFetch { req },
                     ctx.now + self.plan.cfg.kernel_channel_latency,
                 );
             }
@@ -1572,10 +1552,9 @@ mod tests {
             &mut ctx,
             ThreadId::new(1),
             ThreadId::new(0),
-            &KernelMsg::ConfirmFetch {
+            KernelMsg::ConfirmFetch {
                 req: RequestId::new(1),
-            }
-            .encode(),
+            },
         );
         let mut ctx = MediatorCtx::new(SimTime::from_millis(2), &mut rng);
         ctx.node = Some(8);
@@ -1583,7 +1562,7 @@ mod tests {
             &mut ctx,
             ThreadId::new(1),
             ThreadId::new(0),
-            &KernelMsg::ClockSync { kclock_ns: 42 }.encode(),
+            KernelMsg::ClockSync { kclock_ns: 42 },
         );
         // The next dispatch on thread 0 announces the chain edge and the
         // comm edge — and only those two.
@@ -1642,21 +1621,18 @@ mod tests {
         let msg = KernelMsg::PendingChildFetch {
             req: RequestId::new(3),
             worker: WorkerId::new(0),
-        }
-        .encode();
-        k.on_kernel_message(&mut ctx, ThreadId::new(1), MAIN_THREAD, &msg);
+        };
+        k.on_kernel_message(&mut ctx, ThreadId::new(1), MAIN_THREAD, msg);
         assert_eq!(k.kernel_messages_seen(), 1);
         // The main-side kernel answers with confirmFetch.
         let ops = ctx.into_ops();
         assert!(ops.iter().any(|op| matches!(
             op,
-            jsk_browser::mediator::MediatorOp::KernelSend { payload, .. }
-            if matches!(KernelMsg::decode(payload), Some(KernelMsg::ConfirmFetch { .. }))
+            jsk_browser::mediator::MediatorOp::KernelSend {
+                payload: KernelMsg::ConfirmFetch { .. },
+                ..
+            }
         )));
-        // User traffic is ignored.
-        let mut ctx = MediatorCtx::new(SimTime::from_millis(2), &mut rng);
-        k.on_kernel_message(&mut ctx, ThreadId::new(1), MAIN_THREAD, &JsValue::from(1.0));
-        assert_eq!(k.kernel_messages_seen(), 1);
     }
 
     #[test]

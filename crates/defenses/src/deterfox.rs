@@ -106,7 +106,7 @@ impl Mediator for DeterFox {
         ctx: &mut MediatorCtx<'_>,
         from: ThreadId,
         to: ThreadId,
-        payload: &jsk_browser::value::JsValue,
+        payload: jsk_browser::mediator::KernelMsg,
     ) {
         self.inner.on_kernel_message(ctx, from, to, payload);
     }

@@ -15,7 +15,8 @@
 //! [`validate`] is the small schema check the CI `smoke (observe)` step and
 //! the tests run over emitted files.
 
-use crate::sym::{Interner, Sym};
+use crate::metrics::series_table;
+use crate::sym::Sym;
 use jsk_sim::time::SimTime;
 use serde::Value;
 
@@ -81,13 +82,15 @@ fn ts_micros(t: SimTime) -> Value {
     }
 }
 
-/// Renders events to the trace-event JSON object format as a [`Value`].
+/// Renders events to the trace-event JSON object format as a [`Value`],
+/// resolving each name through the process-wide table ([`crate::intern`]).
 #[must_use]
-pub fn chrome_trace_value(events: &[TraceEvent], strings: &Interner) -> Value {
+pub fn chrome_trace_value(events: &[TraceEvent]) -> Value {
+    let table = series_table();
     let rendered = events
         .iter()
         .map(|e| {
-            let name = strings.resolve(e.name);
+            let name = table.resolve(e.name.index());
             let mut obj = vec![
                 ("name".to_owned(), Value::Str(name.to_owned())),
                 ("cat".to_owned(), Value::Str(category(name).to_owned())),
@@ -115,9 +118,9 @@ pub fn chrome_trace_value(events: &[TraceEvent], strings: &Interner) -> Value {
 /// Renders events to a pretty-printed trace-event JSON string (with a
 /// trailing newline, like every other artifact this repo writes).
 #[must_use]
-pub fn chrome_trace_json(events: &[TraceEvent], strings: &Interner) -> String {
-    let mut s = serde_json::to_string_pretty(&chrome_trace_value(events, strings))
-        .expect("trace value serializes");
+pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+    let mut s =
+        serde_json::to_string_pretty(&chrome_trace_value(events)).expect("trace value serializes");
     s.push('\n');
     s
 }
@@ -192,10 +195,9 @@ mod tests {
 
     #[test]
     fn export_validates_and_counts() {
-        let mut strings = Interner::new();
-        let task = strings.intern("browser.task");
-        let ev = strings.intern("kevent.timeout");
-        let mark = strings.intern("kernel.watchdog_expired");
+        let task = crate::intern("browser.task");
+        let ev = crate::intern("kevent.timeout");
+        let mark = crate::intern("kernel.watchdog_expired");
         let events = [
             TraceEvent {
                 ph: Phase::AsyncBegin,
@@ -233,7 +235,7 @@ mod tests {
                 id: None,
             },
         ];
-        let json = chrome_trace_json(&events, &strings);
+        let json = chrome_trace_json(&events);
         let summary = validate(&json).expect("valid trace");
         assert_eq!(summary.events, 5);
         assert_eq!(summary.spans, 1);

@@ -8,8 +8,8 @@
 //!
 //! * [`ObsHandle`] — the handle onto one shared [`Observer`] that
 //!   `jsk-core` and `jsk-browser` call at span, instant, and metric sites
-//!   once it is attached. Names are [`Sym`]-interned once at attach time;
-//!   hooks pass integers only.
+//!   once it is attached. Names are [`Sym`]s from one process-wide table
+//!   ([`intern`]), taken once per process; hooks pass integers only.
 //! * [`MetricsRegistry`] / [`MetricsSnapshot`] — counters, gauges, and
 //!   fixed-bucket histograms with deterministic JSON export and
 //!   commutative merge (so `JSK_JOBS`-parallel harvests fold
@@ -37,7 +37,7 @@ pub mod sym;
 pub mod text;
 
 pub use chrome::{Phase, TraceEvent, TraceSummary};
-pub use metrics::{GaugeSnapshot, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{intern, GaugeSnapshot, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use observer::{handle_of, ObsHandle, Observer};
 pub use sym::{Interner, Sym};
 pub use text::render_text;

@@ -6,10 +6,12 @@
 //!
 //! A [`MetricsSnapshot`] is the export: every series keyed by two integer
 //! ids, its metric name and its label set, taken from one process-wide,
-//! append-only series table. [`MetricsRegistry::snapshot`] maps each
-//! `Sym` to a name id; [`MetricsSnapshot::with_labels`] interns its label
-//! group once and nests it under each series' label set with one memoized
-//! pair lookup, formatting nothing; [`MetricsSnapshot::merge`] compares
+//! append-only series table. An observer name's [`Sym`] *is* its string
+//! id in that table ([`intern`]), so [`MetricsRegistry::snapshot`]
+//! copies ids and touches no string; [`MetricsSnapshot::with_labels`]
+//! interns its label group once and nests it under each series' label
+//! set with one memoized pair lookup, formatting nothing;
+//! [`MetricsSnapshot::merge`] compares
 //! and adds integers. So the path from a site's run through the shard,
 //! fleet and server merges builds no string. Names are spelled out only
 //! where text leaves the process: the JSON form (`Serialize`, keys
@@ -28,7 +30,7 @@
 //! bench pool fold to the same totals in any order — the same discipline
 //! the bench records follow.
 
-use crate::sym::{Interner, Sym};
+use crate::sym::Sym;
 use jsk_sim::fasthash::FastMap;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -119,13 +121,12 @@ impl MetricsRegistry {
         self.counters.get(&name).copied().unwrap_or(0)
     }
 
-    /// Exports every metric as an unlabelled series, mapping each symbol,
-    /// resolved through `strings`, to its process-wide name id.
+    /// Exports every metric as an unlabelled series. Each symbol already
+    /// is its name's process-wide id ([`intern`]), so this copies ids.
     #[must_use]
-    pub fn snapshot(&self, strings: &Interner) -> MetricsSnapshot {
-        let mut table = series_table();
-        let mut series = |sym: &Sym| Series {
-            name: table.string(strings.resolve(*sym)),
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let series = |sym: &Sym| Series {
+            name: sym.index(),
             labels: NO_LABELS,
         };
         MetricsSnapshot {
@@ -241,6 +242,17 @@ pub(crate) fn series_table() -> MutexGuard<'static, SeriesTable> {
     SERIES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The process-wide symbol of an observer name: its string id in the
+/// series table, interned on first use. Instrumented code takes its names
+/// once per process (`jsk-core` and `jsk-browser` hold them in statics),
+/// so attaching an observer interns nothing, a registry's snapshot copies
+/// the ids, and the Chrome export resolves them here too. Ids depend on
+/// first-use order, which varies with thread interleaving, so nothing
+/// exported is ordered by them.
+pub fn intern(name: &str) -> Sym {
+    Sym::from_index(series_table().string(name))
+}
+
 fn next_id(len: usize) -> u32 {
     u32::try_from(len).expect("series table overflow")
 }
@@ -308,9 +320,14 @@ impl SeriesTable {
         series
     }
 
+    /// The string behind an id.
+    pub(crate) fn resolve(&self, id: u32) -> &str {
+        &self.strings[id as usize]
+    }
+
     /// The metric name of a series.
     pub(crate) fn name(&self, series: Series) -> &str {
-        &self.strings[series.name as usize]
+        self.resolve(series.name)
     }
 
     /// The groups of a label set, innermost first.
@@ -615,17 +632,16 @@ mod tests {
 
     #[test]
     fn registry_snapshot_resolves_names() {
-        let mut strings = Interner::new();
-        let c = strings.intern("kernel.dispatched");
-        let g = strings.intern("kernel.equeue_depth");
-        let h = strings.intern("kernel.dispatch_latency_ticks");
+        let c = intern("kernel.dispatched");
+        let g = intern("kernel.equeue_depth");
+        let h = intern("kernel.dispatch_latency_ticks");
         let mut reg = MetricsRegistry::new();
         reg.counter_add(c, 2);
         reg.counter_add(c, 3);
         reg.gauge_set(g, 7);
         reg.gauge_set(g, 4);
         reg.histogram_record(h, 5);
-        let snap = reg.snapshot(&strings);
+        let snap = reg.snapshot();
         assert_eq!(snap.counter("kernel.dispatched"), 5);
         let gauge = snap.gauge("kernel.equeue_depth").unwrap();
         assert_eq!((gauge.last, gauge.max), (4, 7));
@@ -636,10 +652,9 @@ mod tests {
 
     #[test]
     fn merge_is_commutative() {
-        let mut strings = Interner::new();
-        let c = strings.intern("c");
-        let g = strings.intern("g");
-        let h = strings.intern("h");
+        let c = intern("c");
+        let g = intern("g");
+        let h = intern("h");
         let mut a = MetricsRegistry::new();
         a.counter_add(c, 1);
         a.gauge_set(g, 9);
@@ -648,7 +663,7 @@ mod tests {
         b.counter_add(c, 10);
         b.gauge_set(g, 3);
         b.histogram_record(h, 100);
-        let (sa, sb) = (a.snapshot(&strings), b.snapshot(&strings));
+        let (sa, sb) = (a.snapshot(), b.snapshot());
         let mut ab = sa.clone();
         ab.merge(&sb);
         let mut ba = sb.clone();
@@ -661,15 +676,14 @@ mod tests {
 
     #[test]
     fn labelled_snapshots_merge_without_colliding() {
-        let mut strings = Interner::new();
-        let c = strings.intern("kernel.dispatched");
-        let g = strings.intern("kernel.equeue_depth");
-        let h = strings.intern("kernel.dispatch_latency_ticks");
+        let c = intern("kernel.dispatched");
+        let g = intern("kernel.equeue_depth");
+        let h = intern("kernel.dispatch_latency_ticks");
         let mut reg = MetricsRegistry::new();
         reg.counter_add(c, 5);
         reg.gauge_set(g, 3);
         reg.histogram_record(h, 8);
-        let snap = reg.snapshot(&strings);
+        let snap = reg.snapshot();
         let mut fleet = snap.with_labels(&[("shard", "0")]);
         fleet.merge(&snap.with_labels(&[("shard", "1")]));
         // Series stay separate per shard.
@@ -711,12 +725,11 @@ mod tests {
 
     #[test]
     fn labelling_preserves_merge_commutativity() {
-        let mut strings = Interner::new();
-        let c = strings.intern("c");
+        let c = intern("c");
         let mut reg = MetricsRegistry::new();
         reg.counter_add(c, 2);
-        let s0 = reg.snapshot(&strings).with_labels(&[("shard", "0")]);
-        let s1 = reg.snapshot(&strings).with_labels(&[("shard", "1")]);
+        let s0 = reg.snapshot().with_labels(&[("shard", "0")]);
+        let s1 = reg.snapshot().with_labels(&[("shard", "1")]);
         let mut ab = s0.clone();
         ab.merge(&s1);
         let mut ba = s1;
@@ -726,14 +739,13 @@ mod tests {
 
     #[test]
     fn snapshot_json_roundtrips() {
-        let mut strings = Interner::new();
-        let c = strings.intern("kernel.registered");
-        let h = strings.intern("kernel.dispatch_latency_ticks");
+        let c = intern("kernel.registered");
+        let h = intern("kernel.dispatch_latency_ticks");
         let mut reg = MetricsRegistry::new();
         reg.counter_add(c, 42);
         reg.histogram_record(h, 3);
         let snap = reg
-            .snapshot(&strings)
+            .snapshot()
             .with_labels(&[("site", "b"), ("policy", "kernel")])
             .with_labels(&[("shard", "0")]);
         let json = serde_json::to_string_pretty(&snap).unwrap();

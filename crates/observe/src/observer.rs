@@ -2,14 +2,20 @@
 //!
 //! `jsk-core` and `jsk-browser` hold an optional [`ObsHandle`] onto one
 //! shared [`Observer`] and call its hooks at the instrumentation points.
-//! Each hook takes a pre-interned [`Sym`] plus plain integers — nothing
-//! allocates — and timestamps come from the deterministic simulation
-//! clock ([`SimTime`]), never from the host's wall clock, so a recorded
-//! trace is a pure function of the run's seed.
+//! Each hook takes a [`Sym`] plus plain integers — nothing allocates —
+//! and timestamps come from the deterministic simulation clock
+//! ([`SimTime`]), never from the host's wall clock, so a recorded trace is
+//! a pure function of the run's seed.
+//!
+//! A name's `Sym` is its id in the process-wide series table
+//! ([`crate::intern`]), not an index into a table of the observer's own:
+//! instrumented code takes its names once per process, attaching an
+//! observer interns nothing, and both the metrics snapshot and the Chrome
+//! export read names from that one table.
 
 use crate::chrome::{self, Phase, TraceEvent, TraceSummary};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::sym::{Interner, Sym};
+use crate::sym::Sym;
 use jsk_sim::time::SimTime;
 use std::cell::RefCell;
 use std::fmt;
@@ -22,7 +28,6 @@ use std::rc::Rc;
 /// tracing is the profiling configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Observer {
-    strings: Interner,
     metrics: MetricsRegistry,
     record_events: bool,
     events: Vec<TraceEvent>,
@@ -87,7 +92,7 @@ impl Observer {
     /// Name-resolved snapshot of the metrics recorded so far.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(&self.strings)
+        self.metrics.snapshot()
     }
 
     /// Deterministic pretty JSON of the metrics snapshot.
@@ -107,7 +112,7 @@ impl Observer {
     /// Renders the buffered events as Chrome trace-event JSON.
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
-        chrome::chrome_trace_json(&self.events, &self.strings)
+        chrome::chrome_trace_json(&self.events)
     }
 
     /// Validates this observer's own export (used by smoke tests).
@@ -137,13 +142,6 @@ impl Observer {
 
 /// The instrumentation hooks.
 impl Observer {
-    /// Interns a name, returning the symbol to pass to later hooks.
-    /// Instrumented code calls this once per name at attach time, always
-    /// with a literal, so the observer keeps the name without copying it.
-    pub fn intern(&mut self, name: &'static str) -> Sym {
-        self.strings.intern_static(name)
-    }
-
     /// A synchronous span opened on thread `tid` at sim-time `at`.
     pub fn span_enter(&mut self, name: Sym, tid: u64, at: SimTime) {
         self.push(Phase::Begin, name, tid, at, None);
@@ -204,12 +202,6 @@ impl fmt::Debug for ObsHandle {
 }
 
 impl ObsHandle {
-    /// Forwards [`Observer::intern`].
-    #[must_use]
-    pub fn intern(&self, name: &'static str) -> Sym {
-        self.0.borrow_mut().intern(name)
-    }
-
     /// Forwards [`Observer::span_enter`].
     pub fn span_enter(&self, name: Sym, tid: u64, at: SimTime) {
         self.0.borrow_mut().span_enter(name, tid, at);
@@ -265,7 +257,7 @@ mod tests {
     #[test]
     fn metrics_only_observer_ignores_spans() {
         let mut o = Observer::new();
-        let s = o.intern("kernel.dispatch");
+        let s = crate::intern("kernel.dispatch");
         o.span_enter(s, 0, SimTime::ZERO);
         o.span_exit(s, 0, SimTime::from_micros(1));
         o.counter_add(s, 1);
@@ -276,7 +268,7 @@ mod tests {
     #[test]
     fn capacity_cap_truncates_prefix_and_counts_drops() {
         let mut o = Observer::with_trace_capacity(2);
-        let s = o.intern("kernel.dispatch");
+        let s = crate::intern("kernel.dispatch");
         for i in 0..5u64 {
             o.instant(s, 0, SimTime::from_micros(i));
             o.counter_add(s, 1);
@@ -291,7 +283,7 @@ mod tests {
     fn tracing_observer_exports_through_handle() {
         let shared = Observer::with_trace().shared();
         let h = handle_of(&shared);
-        let s = h.intern("browser.task");
+        let s = crate::intern("browser.task");
         h.span_enter(s, 0, SimTime::ZERO);
         h.span_exit(s, 0, SimTime::from_micros(3));
         let summary = shared.borrow().validate_trace().expect("valid");

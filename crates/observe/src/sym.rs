@@ -1,38 +1,40 @@
-//! Interned metric/span names.
+//! Interned names.
 //!
-//! Every span, counter, gauge, and histogram is identified by a [`Sym`]: a
-//! `u32` index into an [`Interner`] owned by the observer. Instrumented
-//! code interns each name **once** (at attach time) and then passes the
-//! copyable `Sym` on every hook call, so the hot path never hashes a
-//! string or allocates. The browser's trace string table is the same type
-//! (re-exported as `jsk_browser::trace::Interner`); the interner lives
-//! here so the observability layer sits *below* the browser in the crate
-//! graph and can be depended on by any layer.
+//! A [`Sym`] is a copyable `u32` standing for a string, so hot paths pass
+//! and compare integers instead of strings. Two tables issue them:
 //!
-//! Attach-time names are string literals: [`Interner::intern_static`]
-//! borrows them, so attaching an observer copies no string. Names that
-//! only exist at run time (the browser trace's URLs and worker sources)
-//! take the owning [`Interner::intern`]. Both paths share one table, so
-//! a name gets the same symbol whichever way it arrives.
+//! * **Observer names** (spans, counters, gauges, histograms) are ids in
+//!   the process-wide series table ([`crate::intern`]): the kernel and the
+//!   browser take their names once per process and pass the `Sym` on every
+//!   hook call, so neither attaching an observer nor a hook hashes a
+//!   string or allocates, and the metrics snapshot copies the ids.
+//! * **Trace strings** (the browser trace's URLs, worker sources and
+//!   labels) go through an [`Interner`] the trace owns (re-exported as
+//!   `jsk_browser::trace::Interner`). It lives here so the observability
+//!   layer sits *below* the browser in the crate graph.
 //!
-//! Symbols are handed out in first-intern order, which is itself
-//! deterministic (instrumented code interns its names in a fixed order at
-//! attach time, and identical trace record sequences intern identical
-//! strings), so exports and serialized traces keyed by symbol index are
-//! bit-identical across runs and `JSK_JOBS` settings.
+//! A symbol is only meaningful together with the table that issued it.
+//! An [`Interner`] keeps one shared copy of each new string for both its
+//! table and its lookup index. It hands symbols out in first-intern
+//! order, which is itself deterministic (identical trace record sequences
+//! intern identical strings), so serialized traces keyed by symbol index
+//! are bit-identical across runs and `JSK_JOBS` settings.
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// An interned name: a cheap, copyable index into an [`Interner`].
-///
-/// A symbol is only meaningful together with the interner that issued it.
-/// Serializes as its raw index; the table travels alongside.
+/// An interned name: a cheap, copyable index into the table that issued
+/// it. Serializes as its raw index; the table travels alongside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Sym(u32);
 
 impl Sym {
+    /// The symbol with raw index `index`.
+    pub(crate) const fn from_index(index: u32) -> Sym {
+        Sym(index)
+    }
+
     /// The raw index.
     #[must_use]
     pub fn index(self) -> u32 {
@@ -41,12 +43,12 @@ impl Sym {
 }
 
 /// First-occurrence string interner: `intern` returns a stable [`Sym`] per
-/// distinct string; `resolve` maps it back. Literal names are held
-/// borrowed, run-time names owned.
+/// distinct string; `resolve` maps it back. The table and the lookup index
+/// share one reference-counted copy of each string.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    strings: Vec<Cow<'static, str>>,
-    index: HashMap<Cow<'static, str>, u32>,
+    strings: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
 }
 
 impl Interner {
@@ -57,24 +59,16 @@ impl Interner {
     }
 
     /// Interns `s`, returning its symbol (existing or freshly assigned).
-    /// A new name is copied into the table.
+    /// A new name is copied once, into storage the table and the index
+    /// share.
     pub fn intern(&mut self, s: &str) -> Sym {
-        self.intern_with(s, |s| Cow::Owned(s.to_owned()))
-    }
-
-    /// Interns a `'static` name (a literal) without copying it. The
-    /// symbol is the one [`Interner::intern`] gives the same text.
-    pub fn intern_static(&mut self, s: &'static str) -> Sym {
-        self.intern_with(s, |_| Cow::Borrowed(s))
-    }
-
-    fn intern_with<'a>(&mut self, s: &'a str, store: impl Fn(&'a str) -> Cow<'static, str>) -> Sym {
         if let Some(&i) = self.index.get(s) {
             return Sym(i);
         }
         let i = u32::try_from(self.strings.len()).expect("interner overflow");
-        self.strings.push(store(s));
-        self.index.insert(store(s), i);
+        let stored: Arc<str> = Arc::from(s);
+        self.strings.push(stored.clone());
+        self.index.insert(stored, i);
         Sym(i)
     }
 
@@ -120,9 +114,9 @@ impl Serialize for Interner {
 
 impl Deserialize for Interner {
     fn from_value(v: &Value) -> Result<Interner, DeError> {
-        let strings: Vec<Cow<'static, str>> = Vec::<String>::from_value(v)?
+        let strings: Vec<Arc<str>> = Vec::<String>::from_value(v)?
             .into_iter()
-            .map(Cow::Owned)
+            .map(Arc::from)
             .collect();
         let index = strings
             .iter()
@@ -150,9 +144,20 @@ mod tests {
     }
 
     #[test]
+    fn a_new_string_is_stored_once_for_table_and_index() {
+        let mut i = Interner::new();
+        let url = i.intern(&String::from("https://victim.example/api"));
+        assert_eq!(i.intern("https://victim.example/api"), url);
+        let stored = &i.strings[url.index() as usize];
+        assert_eq!(Arc::strong_count(stored), 2, "one copy, shared");
+        let (key, _) = i.index.get_key_value("https://victim.example/api").unwrap();
+        assert!(Arc::ptr_eq(key, stored));
+    }
+
+    #[test]
     fn literal_and_runtime_names_share_symbols_and_the_serialized_table() {
         let mut i = Interner::new();
-        let dispatch = i.intern_static("kernel.dispatch");
+        let dispatch = i.intern("kernel.dispatch");
         let url = i.intern(&String::from("https://victim.example/api"));
         let runtime = String::from("kernel.dispatch");
         assert_eq!(i.intern(&runtime), dispatch);

@@ -162,11 +162,10 @@ mod tests {
 
     #[test]
     fn renders_counters_gauges_and_histograms() {
-        let mut strings = crate::Interner::new();
         let mut reg = crate::MetricsRegistry::new();
-        reg.gauge_set(strings.intern("a.depth"), 9);
-        reg.gauge_set(strings.intern("a.depth"), 2);
-        let mut snap = reg.snapshot(&strings);
+        reg.gauge_set(crate::intern("a.depth"), 9);
+        reg.gauge_set(crate::intern("a.depth"), 2);
+        let mut snap = reg.snapshot();
         snap.counter_add("a.runs{shard=1}{site=x}", 3);
         snap.counter_add("a.runs{shard=2}{site=x}", 4);
         let page = render_text(&snap);
@@ -184,11 +183,10 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_end_at_inf() {
         let mut reg = crate::MetricsRegistry::new();
-        let mut strings = crate::Interner::new();
-        let h = strings.intern("lat");
+        let h = crate::intern("lat");
         reg.histogram_record(h, 1);
         reg.histogram_record(h, 1000);
-        let page = render_text(&reg.snapshot(&strings));
+        let page = render_text(&reg.snapshot());
         assert!(page.contains("lat_bucket{le=\"1\"} 1\n"));
         assert!(page.contains("lat_bucket{le=\"+Inf\"} 2\n"));
         assert!(page.contains("lat_sum 1001\n"));

@@ -27,19 +27,19 @@ const SEED: u64 = 31;
 
 /// Allocations per site under the `kernel` policy, in corpus order.
 const CEILINGS: [(&str, u64); 13] = [
-    ("CVE-2018-5092", 818),
-    ("CVE-2017-7843", 68),
-    ("CVE-2015-7215", 140),
-    ("CVE-2014-3194", 299),
-    ("CVE-2014-1719", 141),
-    ("CVE-2014-1488", 145),
-    ("CVE-2014-1487", 123),
-    ("CVE-2013-6646", 469),
-    ("CVE-2013-5602", 273),
-    ("CVE-2013-1714", 142),
-    ("CVE-2011-1190", 128),
-    ("CVE-2010-4576", 105),
-    ("listing-1", 777),
+    ("CVE-2018-5092", 204),
+    ("CVE-2017-7843", 42),
+    ("CVE-2015-7215", 82),
+    ("CVE-2014-3194", 111),
+    ("CVE-2014-1719", 84),
+    ("CVE-2014-1488", 87),
+    ("CVE-2014-1487", 72),
+    ("CVE-2013-6646", 181),
+    ("CVE-2013-5602", 146),
+    ("CVE-2013-1714", 86),
+    ("CVE-2011-1190", 78),
+    ("CVE-2010-4576", 72),
+    ("listing-1", 219),
 ];
 
 /// Runs one site through the served job's steps and returns how many

@@ -870,7 +870,7 @@ mod tests {
     fn job(site: &str, seed: u64, cost_ms: u64) -> SiteJob {
         SiteJob::new(site, seed, move |ctx| {
             let mut m = jsk_observe::Observer::new();
-            let c = m.intern("site.runs");
+            let c = jsk_observe::intern("site.runs");
             m.counter_add(c, 1);
             SiteOutput {
                 defended: Some(true),

@@ -1,9 +1,8 @@
 //! Deterministic integer hashing for simulator-assigned id tables.
 //!
 //! The simulation hits hash tables on every asynchronous event: the
-//! [`TimeQueue`](crate::queue::TimeQueue)'s live and cancelled sequence
-//! sets on every push and pop, the browser's pending-event and channel
-//! maps, and the kernel's equeue token map and worker tables. All of those
+//! browser's pending-event and channel maps, and the kernel's equeue
+//! token map and worker tables. All of those
 //! keys are sequential integers the simulator assigns itself (queue
 //! sequence numbers, event tokens, worker and thread ids, …), never
 //! attacker-controlled data, so the standard library's DoS-resistant

@@ -5,6 +5,9 @@
 //! entries scheduled for the same instant pop in insertion order). Every
 //! `push` returns a [`QueueKey`] that can later cancel the entry lazily —
 //! cancelled entries are skipped on pop, which keeps cancellation cheap.
+//! Keys are the queue's own monotonic counter, so each entry's
+//! live-or-cancelled flag sits in a dense seq-indexed [`TokenTable`]:
+//! push, pop and cancel hash nothing.
 //!
 //! # Examples
 //!
@@ -24,8 +27,8 @@
 //! # let _ = b;
 //! ```
 
-use crate::fasthash::FastSet;
 use crate::time::SimTime;
+use crate::token_table::TokenTable;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -98,12 +101,12 @@ impl<T> Ord for Entry<T> {
 ///   returns `false` and changes nothing.
 pub struct TimeQueue<T> {
     heap: BinaryHeap<Entry<T>>,
-    /// Seqs currently stored in `heap` (live or cancelled-but-unpruned).
-    /// Seqs are the queue's own counter, so the sets hash with
-    /// [`FastSet`]'s integer hasher rather than SipHash.
-    in_heap: FastSet<u64>,
-    /// Seqs in `heap` that have been cancelled and must be skipped.
-    cancelled: FastSet<u64>,
+    /// One flag per seq stored in `heap`: `true` once the entry is
+    /// cancelled (it is skipped and dropped when it surfaces). A seq that
+    /// was popped or pruned has no flag.
+    in_heap: TokenTable<bool>,
+    /// How many flags in `in_heap` are `true`.
+    cancelled: usize,
     next_seq: u64,
 }
 
@@ -118,7 +121,7 @@ impl<T> fmt::Debug for TimeQueue<T> {
         f.debug_struct("TimeQueue")
             .field("live", &self.len())
             .field("heap_len", &self.heap.len())
-            .field("cancelled", &self.cancelled.len())
+            .field("cancelled", &self.cancelled)
             .finish()
     }
 }
@@ -129,8 +132,8 @@ impl<T> TimeQueue<T> {
     pub fn new() -> Self {
         TimeQueue {
             heap: BinaryHeap::new(),
-            in_heap: FastSet::default(),
-            cancelled: FastSet::default(),
+            in_heap: TokenTable::new(),
+            cancelled: 0,
             next_seq: 0,
         }
     }
@@ -141,7 +144,7 @@ impl<T> TimeQueue<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { time, seq, value });
-        self.in_heap.insert(seq);
+        self.in_heap.insert(seq, false);
         QueueKey(seq)
     }
 
@@ -150,18 +153,20 @@ impl<T> TimeQueue<T> {
     /// Returns `true` if the entry was still pending; `false` if it had
     /// already been popped or cancelled.
     pub fn cancel(&mut self, key: QueueKey) -> bool {
-        if !self.in_heap.contains(&key.0) || self.cancelled.contains(&key.0) {
-            return false;
+        match self.in_heap.get_mut(key.0) {
+            Some(cancelled @ false) => {
+                *cancelled = true;
+                self.cancelled += 1;
+                true
+            }
+            _ => false,
         }
-        self.cancelled.insert(key.0);
-        true
     }
 
     /// Removes and returns the earliest live entry.
     pub fn pop(&mut self) -> Option<Popped<T>> {
         while let Some(entry) = self.heap.pop() {
-            self.in_heap.remove(&entry.seq);
-            if self.cancelled.remove(&entry.seq) {
+            if self.take_flag(entry.seq) {
                 continue;
             }
             return Some(Popped {
@@ -183,20 +188,32 @@ impl<T> TimeQueue<T> {
     /// Discards cancelled entries sitting at the top of the heap.
     fn prune(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.seq) {
+            if self.in_heap.get(top.seq) == Some(&true) {
                 let e = self.heap.pop().expect("peeked entry exists");
-                self.in_heap.remove(&e.seq);
-                self.cancelled.remove(&e.seq);
+                self.take_flag(e.seq);
             } else {
                 break;
             }
         }
     }
 
+    /// Removes the flag of an entry leaving the heap; returns whether the
+    /// entry was cancelled.
+    fn take_flag(&mut self, seq: u64) -> bool {
+        let cancelled = self
+            .in_heap
+            .remove(seq)
+            .expect("every heap entry has a flag");
+        if cancelled {
+            self.cancelled -= 1;
+        }
+        cancelled
+    }
+
     /// Number of live (non-cancelled) entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.in_heap.len() - self.cancelled.len()
+        self.in_heap.len() - self.cancelled
     }
 
     /// Whether no live entries remain.
@@ -208,8 +225,8 @@ impl<T> TimeQueue<T> {
     /// Drops every entry, preserving allocation.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.cancelled.clear();
         self.in_heap.clear();
+        self.cancelled = 0;
     }
 }
 
@@ -297,6 +314,67 @@ mod tests {
         q.push(ms(42), "x");
         let p = q.pop().unwrap();
         assert_eq!(p.time, ms(42));
+    }
+
+    /// Seeded push/cancel/pop/`peek_time` sequences against an ordered
+    /// map keyed by `(time, seq)`: the same pops, the same `cancel`
+    /// answers and the same `len` at every step. Cancels target live,
+    /// popped and already-cancelled keys alike, and far-future entries
+    /// pin old seqs while the window slides past them.
+    #[test]
+    fn matches_an_ordered_map_model() {
+        use crate::rng::SimRng;
+        use std::collections::BTreeMap;
+        for seed in 0..40u64 {
+            let mut rng = SimRng::new(seed);
+            let mut q = TimeQueue::new();
+            let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+            let mut keys: Vec<(QueueKey, SimTime)> = Vec::new();
+            let mut now = 0u64;
+            for step in 0..3_000u64 {
+                match rng.range_u64(0, 10) {
+                    0..=3 => {
+                        let at = if rng.chance(0.02) {
+                            now + 1_000_000
+                        } else {
+                            now + rng.range_u64(0, 20)
+                        };
+                        let time = ms(at);
+                        let key = q.push(time, step);
+                        model.insert((time, key.index()), step);
+                        keys.push((key, time));
+                    }
+                    4..=5 if !keys.is_empty() => {
+                        let (key, time) = keys[rng.index(keys.len())];
+                        let live = model.remove(&(time, key.index())).is_some();
+                        assert_eq!(q.cancel(key), live, "seed {seed} step {step}");
+                    }
+                    6 => {
+                        let expected = model.keys().next().map(|&(t, _)| t);
+                        assert_eq!(q.peek_time(), expected, "seed {seed} step {step}");
+                    }
+                    _ => {
+                        let expected = model.pop_first();
+                        let got = q.pop();
+                        assert_eq!(
+                            got.map(|p| (p.time, p.key.index(), p.value)),
+                            expected.map(|((t, seq), v)| (t, seq, v)),
+                            "seed {seed} step {step}"
+                        );
+                        if let Some(((t, _), _)) = expected {
+                            now = t.as_nanos() / 1_000_000;
+                        }
+                    }
+                }
+                assert_eq!(q.len(), model.len(), "seed {seed} step {step}");
+            }
+            while let Some(p) = q.pop() {
+                let ((t, seq), v) = model.pop_first().expect("model has the entry");
+                assert_eq!((p.time, p.key.index(), p.value), (t, seq, v));
+            }
+            assert!(model.is_empty());
+            assert!(q.is_empty());
+        }
     }
 
     #[test]

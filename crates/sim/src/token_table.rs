@@ -180,6 +180,13 @@ impl<V> TokenTable<V> {
         v
     }
 
+    /// Removes every entry, keeping the ring's allocation.
+    pub fn clear(&mut self) {
+        self.slots.fill_with(|| None);
+        self.overflow.clear();
+        self.live = 0;
+    }
+
     /// Allocates the ring at [`INITIAL_SLOTS`], or doubles it, and re-places
     /// every live entry (including any overflow stragglers that no longer
     /// alias at the new size).
