@@ -18,7 +18,7 @@ use jsk_browser::event::{AsyncEventInfo, AsyncKind};
 use jsk_browser::ids::{EventToken, RequestId, ThreadId, WorkerId};
 use jsk_browser::mediator::{ApiOutcome, ConfirmDecision, Mediator, MediatorCtx, MediatorOp};
 use jsk_browser::trace::{ApiCall, Fact, Interner, TerminationReason, Trace};
-use jsk_core::equeue::{DrainScratch, KernelEventQueue};
+use jsk_core::equeue::KernelEventQueue;
 use jsk_core::kernel::JsKernel;
 use jsk_core::kevent::{KEventStatus, KernelEvent};
 use jsk_core::policy::{cve, PolicyEngine};
@@ -143,7 +143,6 @@ fn policy_decide(rounds: usize) -> (Phase, u64) {
 
 fn equeue_churn(rounds: u64) -> (Phase, u64) {
     let mut q = KernelEventQueue::new();
-    let mut scratch = DrainScratch::new();
     let mut drained = 0u64;
     let phase = timed("equeue-churn", || {
         for r in 0..rounds {
@@ -159,10 +158,21 @@ fn equeue_churn(rounds: u64) -> (Phase, u64) {
                 q.lookup_mut(EventToken::new(r * BATCH + i)).unwrap().status =
                     KEventStatus::Confirmed;
             }
-            scratch.clear();
-            q.drain_dispatchable_into(&mut scratch);
-            drained += scratch.len() as u64;
-            black_box(&scratch);
+            // The dispatcher's head loop: look at the head, pop it.
+            while let Some(status) = q.top().map(|e| e.status) {
+                match status {
+                    KEventStatus::Pending => break,
+                    KEventStatus::Cancelled | KEventStatus::Dispatched => {
+                        q.pop();
+                    }
+                    KEventStatus::Confirmed => {
+                        let mut e = q.pop().expect("top exists");
+                        e.status = KEventStatus::Dispatched;
+                        drained += 1;
+                        black_box(e);
+                    }
+                }
+            }
         }
         // One op per push, per confirm, and per drained event.
         rounds * BATCH * 2 + drained

@@ -6,7 +6,7 @@ use criterion::{criterion_group, BatchSize, Criterion};
 use jsk_browser::event::AsyncKind;
 use jsk_browser::ids::{EventToken, RequestId, ThreadId, WorkerId};
 use jsk_browser::trace::ApiCall;
-use jsk_core::equeue::{DrainScratch, KernelEventQueue};
+use jsk_core::equeue::KernelEventQueue;
 use jsk_core::kclock::KernelClock;
 use jsk_core::kevent::{KEventStatus, KernelEvent};
 use jsk_core::policy::{cve, PolicyEngine};
@@ -16,9 +16,6 @@ use jsk_sim::time::{SimDuration, SimTime};
 use std::hint::black_box;
 
 fn bench_equeue(c: &mut Criterion) {
-    // The scratch buffer lives across iterations, as it does in the
-    // kernel's dispatch loop — steady state drains without allocating.
-    let mut scratch = DrainScratch::new();
     c.bench_function("equeue push+confirm+drain (64 events)", |b| {
         b.iter_batched(
             KernelEventQueue::new,
@@ -34,9 +31,23 @@ fn bench_equeue(c: &mut Criterion) {
                 for i in 0..64u64 {
                     q.lookup_mut(EventToken::new(i)).unwrap().status = KEventStatus::Confirmed;
                 }
-                scratch.clear();
-                q.drain_dispatchable_into(&mut scratch);
-                black_box(scratch.len())
+                // The dispatcher's head loop: look at the head, pop it.
+                let mut drained = 0usize;
+                while let Some(status) = q.top().map(|e| e.status) {
+                    match status {
+                        KEventStatus::Pending => break,
+                        KEventStatus::Cancelled | KEventStatus::Dispatched => {
+                            q.pop();
+                        }
+                        KEventStatus::Confirmed => {
+                            let mut e = q.pop().expect("top exists");
+                            e.status = KEventStatus::Dispatched;
+                            drained += 1;
+                            black_box(e);
+                        }
+                    }
+                }
+                black_box(drained)
             },
             BatchSize::SmallInput,
         );

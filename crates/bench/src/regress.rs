@@ -382,11 +382,11 @@ mod tests {
     }
 
     fn metrics(pairs: &[(&str, u64)]) -> jsk_observe::MetricsSnapshot {
-        let mut reg = jsk_observe::MetricsRegistry::default();
+        let mut snap = jsk_observe::MetricsSnapshot::default();
         for (name, v) in pairs {
-            reg.counter_add(jsk_observe::intern(name), *v);
+            snap.counter_add(name, *v);
         }
-        reg.snapshot()
+        snap
     }
 
     #[test]

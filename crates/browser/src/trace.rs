@@ -17,6 +17,7 @@
 use crate::ids::{BufferId, NodeId, RequestId, SabId, ThreadId, WorkerId};
 use jsk_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Trace records are hot-path appends — one per intercepted API call,
 /// fact, task node, and shared-state access — so they store string
@@ -210,30 +211,6 @@ impl ApiCall {
                 "CreateWorker {{ parent: {parent:?}, worker: {worker:?}, src: {:?}, sandboxed: {sandboxed:?} }}",
                 s(src)
             ),
-            ApiCall::TerminateWorker {
-                worker,
-                reason,
-                during_dispatch,
-                live_transfers,
-                pending_fetches,
-            } => format!(
-                "TerminateWorker {{ worker: {worker:?}, reason: {reason:?}, during_dispatch: {during_dispatch:?}, live_transfers: {live_transfers:?}, pending_fetches: {pending_fetches:?} }}"
-            ),
-            ApiCall::PostMessage {
-                from,
-                to,
-                transfer_count,
-                to_doc_freed,
-            } => format!(
-                "PostMessage {{ from: {from:?}, to: {to:?}, transfer_count: {transfer_count:?}, to_doc_freed: {to_doc_freed:?} }}"
-            ),
-            ApiCall::SetOnMessage {
-                thread,
-                worker,
-                worker_closing,
-            } => format!(
-                "SetOnMessage {{ thread: {thread:?}, worker: {worker:?}, worker_closing: {worker_closing:?} }}"
-            ),
             ApiCall::Fetch {
                 thread,
                 req,
@@ -242,13 +219,6 @@ impl ApiCall {
             } => format!(
                 "Fetch {{ thread: {thread:?}, req: {req:?}, url: {:?}, has_signal: {has_signal:?} }}",
                 s(url)
-            ),
-            ApiCall::DeliverAbort {
-                req,
-                owner,
-                owner_alive,
-            } => format!(
-                "DeliverAbort {{ req: {req:?}, owner: {owner:?}, owner_alive: {owner_alive:?} }}"
             ),
             ApiCall::XhrSend {
                 thread,
@@ -275,29 +245,13 @@ impl ApiCall {
                 "ErrorEvent {{ thread: {thread:?}, message: {:?}, leaks_cross_origin: {leaks_cross_origin:?} }}",
                 s(message)
             ),
-            ApiCall::IdbOpen {
-                thread,
-                private_mode,
-                persist,
-            } => format!(
-                "IdbOpen {{ thread: {thread:?}, private_mode: {private_mode:?}, persist: {persist:?} }}"
-            ),
-            ApiCall::Navigate { thread } => format!("Navigate {{ thread: {thread:?} }}"),
-            ApiCall::CloseDocument {
-                thread,
-                pending_worker_messages,
-            } => format!(
-                "CloseDocument {{ thread: {thread:?}, pending_worker_messages: {pending_worker_messages:?} }}"
-            ),
-            ApiCall::BufferAccess {
-                thread,
-                buffer,
-                freed,
-            } => format!(
-                "BufferAccess {{ thread: {thread:?}, buffer: {buffer:?}, freed: {freed:?} }}"
-            ),
-            ApiCall::IlpCounterRead { thread, chains } => {
-                format!("IlpCounterRead {{ thread: {thread:?}, chains: {chains:?} }}")
+            // No interned field: the derived layout is the description.
+            // Sized for the longest such layout, so it is written into
+            // one allocation instead of a string doubling from empty.
+            other => {
+                let mut text = String::with_capacity(128);
+                write!(text, "{other:?}").expect("writing to a String cannot fail");
+                text
             }
         }
     }
@@ -830,27 +784,132 @@ mod tests {
         assert!(t.strings().is_empty());
     }
 
+    /// The strings the samples of [`every_api_call`] intern.
+    const SAMPLE_STRINGS: [&str; 5] = [
+        "w.js",
+        "https://a.example/f",
+        "https://b.example/x",
+        "https://c.example/i.js",
+        "Script error.",
+    ];
+
+    /// One sample of every [`ApiCall`] variant. The match has no wildcard,
+    /// so a new variant does not compile until it is sampled here.
+    fn every_api_call(t: &mut Trace) -> Vec<ApiCall> {
+        let (thread, worker) = (ThreadId::new(7), WorkerId::new(3));
+        let calls = vec![
+            ApiCall::CreateWorker {
+                parent: thread,
+                worker,
+                src: t.intern(SAMPLE_STRINGS[0]),
+                sandboxed: true,
+            },
+            ApiCall::TerminateWorker {
+                worker,
+                reason: TerminationReason::DocumentTeardown,
+                during_dispatch: true,
+                live_transfers: 2,
+                pending_fetches: 1,
+            },
+            ApiCall::PostMessage {
+                from: thread,
+                to: ThreadId::new(1),
+                transfer_count: 1,
+                to_doc_freed: false,
+            },
+            ApiCall::SetOnMessage {
+                thread,
+                worker: Some(worker),
+                worker_closing: true,
+            },
+            ApiCall::Fetch {
+                thread,
+                req: RequestId::new(4),
+                url: t.intern(SAMPLE_STRINGS[1]),
+                has_signal: true,
+            },
+            ApiCall::DeliverAbort {
+                req: RequestId::new(4),
+                owner: thread,
+                owner_alive: false,
+            },
+            ApiCall::XhrSend {
+                thread,
+                from_worker: true,
+                url: t.intern(SAMPLE_STRINGS[2]),
+                cross_origin: true,
+            },
+            ApiCall::ImportScripts {
+                thread,
+                url: t.intern(SAMPLE_STRINGS[3]),
+                cross_origin: false,
+            },
+            ApiCall::ErrorEvent {
+                thread,
+                message: t.intern(SAMPLE_STRINGS[4]),
+                leaks_cross_origin: true,
+            },
+            ApiCall::IdbOpen {
+                thread,
+                private_mode: true,
+                persist: false,
+            },
+            ApiCall::Navigate { thread },
+            ApiCall::CloseDocument {
+                thread,
+                pending_worker_messages: 3,
+            },
+            ApiCall::BufferAccess {
+                thread,
+                buffer: BufferId::new(9),
+                freed: true,
+            },
+            ApiCall::IlpCounterRead { thread, chains: 4 },
+        ];
+        let mut sampled = [false; 14];
+        for call in &calls {
+            sampled[match call {
+                ApiCall::CreateWorker { .. } => 0,
+                ApiCall::TerminateWorker { .. } => 1,
+                ApiCall::PostMessage { .. } => 2,
+                ApiCall::SetOnMessage { .. } => 3,
+                ApiCall::Fetch { .. } => 4,
+                ApiCall::DeliverAbort { .. } => 5,
+                ApiCall::XhrSend { .. } => 6,
+                ApiCall::ImportScripts { .. } => 7,
+                ApiCall::ErrorEvent { .. } => 8,
+                ApiCall::IdbOpen { .. } => 9,
+                ApiCall::Navigate { .. } => 10,
+                ApiCall::CloseDocument { .. } => 11,
+                ApiCall::BufferAccess { .. } => 12,
+                ApiCall::IlpCounterRead { .. } => 13,
+            }] = true;
+        }
+        assert!(sampled.iter().all(|&s| s), "a variant has no sample");
+        calls
+    }
+
     /// `describe` must stay in lockstep with derive-`Debug` (modulo symbol
-    /// resolution): `Fact::Denied.what` relies on it for readable output.
+    /// resolution) for every variant: `Fact::Denied.what` relies on it for
+    /// readable output, and a `Sym` field left to the derived layout would
+    /// print as `Sym(n)`.
     #[test]
     fn describe_matches_derive_debug_with_symbols_resolved() {
         let mut t = Trace::new();
-        let src = t.intern("w.js");
-        let call = ApiCall::CreateWorker {
-            parent: ThreadId::new(0),
-            worker: WorkerId::new(3),
-            src,
-            sandboxed: true,
-        };
-        let debug = format!("{call:?}");
-        let described = call.describe(t.strings());
-        // Same shape, with the symbol replaced by its quoted string.
-        assert_eq!(described, debug.replace(&format!("{src:?}"), "\"w.js\""));
-        assert!(described.contains("src: \"w.js\""), "{described}");
-
-        let plain = ApiCall::Navigate {
-            thread: ThreadId::new(7),
-        };
-        assert_eq!(plain.describe(t.strings()), format!("{plain:?}"));
+        for call in every_api_call(&mut t) {
+            let described = call.describe(t.strings());
+            // Same shape as the derived layout, with every symbol replaced
+            // by its quoted string.
+            let mut expected = format!("{call:?}");
+            for text in SAMPLE_STRINGS {
+                let sym = t.intern(text);
+                expected = expected.replace(&format!("{sym:?}"), &format!("{text:?}"));
+            }
+            assert_eq!(described, expected);
+            assert!(
+                !described.contains("Sym("),
+                "unresolved symbol: {described}"
+            );
+        }
     }
 }

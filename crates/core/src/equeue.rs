@@ -226,96 +226,6 @@ impl KernelEventQueue {
             .into_iter()
             .map(move |e| &self.events.get(&e.token).expect("live entry is stored").0)
     }
-
-    /// Pops every leading event that is ready to go out into `out`:
-    /// cancelled events are discarded, confirmed events are appended in
-    /// predicted order, and the drain stops at the first pending event (the
-    /// dispatcher "waits for the event to become ready", §III-D3).
-    ///
-    /// `out` is a caller-owned scratch buffer (it is *not* cleared), so a
-    /// steady-state dispatch loop reuses one allocation across steps — and
-    /// with [`DrainScratch`]'s inline capacity, typically none at all.
-    pub fn drain_dispatchable_into(&mut self, out: &mut DrainScratch) {
-        while let Some(head) = self.top() {
-            match head.status {
-                KEventStatus::Pending => break,
-                KEventStatus::Cancelled | KEventStatus::Dispatched => {
-                    self.pop();
-                }
-                KEventStatus::Confirmed => {
-                    let mut e = self.pop().expect("top exists");
-                    e.status = KEventStatus::Dispatched;
-                    out.push(e);
-                }
-            }
-        }
-    }
-}
-
-/// Events drained per dispatch step land inline in a [`DrainScratch`];
-/// only a burst larger than this spills to the heap.
-pub const INLINE_DRAIN: usize = 8;
-
-/// A reusable small-vec receiving drained events: the first
-/// [`INLINE_DRAIN`] go to an inline array (a dispatch step rarely
-/// releases more than a handful), the rest spill into a `Vec` whose
-/// capacity is retained across [`clear`](Self::clear) — so a steady-state
-/// drain loop never allocates.
-#[derive(Debug, Default)]
-pub struct DrainScratch {
-    inline: [Option<KernelEvent>; INLINE_DRAIN],
-    inline_len: usize,
-    spill: Vec<KernelEvent>,
-}
-
-impl DrainScratch {
-    /// Creates an empty scratch buffer.
-    #[must_use]
-    pub fn new() -> DrainScratch {
-        DrainScratch::default()
-    }
-
-    /// Empties the buffer, keeping the spill allocation.
-    pub fn clear(&mut self) {
-        self.inline_len = 0;
-        self.spill.clear();
-    }
-
-    /// Appends an event.
-    pub fn push(&mut self, event: KernelEvent) {
-        if self.inline_len < INLINE_DRAIN {
-            self.inline[self.inline_len] = Some(event);
-            self.inline_len += 1;
-        } else {
-            self.spill.push(event);
-        }
-    }
-
-    /// Number of buffered events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inline_len + self.spill.len()
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many events overflowed the inline array (diagnostics / tests).
-    #[must_use]
-    pub fn spilled(&self) -> usize {
-        self.spill.len()
-    }
-
-    /// The buffered events in drain order.
-    pub fn iter(&self) -> impl Iterator<Item = &KernelEvent> + '_ {
-        self.inline[..self.inline_len]
-            .iter()
-            .map(|e| e.as_ref().expect("slot below inline_len is filled"))
-            .chain(self.spill.iter())
-    }
 }
 
 #[cfg(test)]
@@ -333,12 +243,25 @@ mod tests {
         )
     }
 
-    /// Collects a full drain into a Vec (test convenience over the
-    /// scratch-buffer API).
+    /// The dispatcher's `top`/`pop` loop without its watchdog and
+    /// deferral: discards cancelled and dispatched heads, releases
+    /// confirmed ones in order, and stops at the first pending head.
     fn drain_vec(q: &mut KernelEventQueue) -> Vec<KernelEvent> {
-        let mut scratch = DrainScratch::new();
-        q.drain_dispatchable_into(&mut scratch);
-        scratch.iter().copied().collect()
+        let mut out = Vec::new();
+        while let Some(head) = q.top() {
+            match head.status {
+                KEventStatus::Pending => break,
+                KEventStatus::Cancelled | KEventStatus::Dispatched => {
+                    q.pop();
+                }
+                KEventStatus::Confirmed => {
+                    let mut e = q.pop().expect("top exists");
+                    e.status = KEventStatus::Dispatched;
+                    out.push(e);
+                }
+            }
+        }
+        out
     }
 
     #[test]
@@ -452,42 +375,6 @@ mod tests {
         let out = drain_vec(&mut q);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].token, EventToken::new(2));
-    }
-
-    #[test]
-    fn drain_into_reuses_scratch_without_clearing() {
-        let mut q = KernelEventQueue::new();
-        q.push(ev(1, 10));
-        q.lookup_mut(EventToken::new(1)).unwrap().status = KEventStatus::Confirmed;
-        let mut scratch = DrainScratch::new();
-        q.drain_dispatchable_into(&mut scratch);
-        assert_eq!(scratch.len(), 1);
-        // A second drain appends; the caller owns clearing.
-        q.push(ev(2, 20));
-        q.lookup_mut(EventToken::new(2)).unwrap().status = KEventStatus::Confirmed;
-        q.drain_dispatchable_into(&mut scratch);
-        let tokens: Vec<u64> = scratch.iter().map(|e| e.token.index()).collect();
-        assert_eq!(tokens, vec![1, 2]);
-        assert_eq!(scratch.spilled(), 0, "small drains stay inline");
-    }
-
-    #[test]
-    fn drain_scratch_spills_past_inline_capacity_in_order() {
-        let mut q = KernelEventQueue::new();
-        let n = (INLINE_DRAIN + 4) as u64;
-        for i in 0..n {
-            q.push(ev(i, 10 + i));
-            q.lookup_mut(EventToken::new(i)).unwrap().status = KEventStatus::Confirmed;
-        }
-        let mut scratch = DrainScratch::new();
-        q.drain_dispatchable_into(&mut scratch);
-        assert_eq!(scratch.len(), n as usize);
-        assert_eq!(scratch.spilled(), 4);
-        let tokens: Vec<u64> = scratch.iter().map(|e| e.token.index()).collect();
-        assert_eq!(tokens, (0..n).collect::<Vec<_>>());
-        scratch.clear();
-        assert!(scratch.is_empty());
-        assert_eq!(scratch.spilled(), 0);
     }
 
     #[test]

@@ -389,6 +389,13 @@ impl JsKernel {
         self.stream_last.len()
     }
 
+    /// The instant the kernel predicted for an event it tracks: from
+    /// registration until the event's task runs or it is cancelled.
+    #[must_use]
+    pub fn predicted(&self, token: EventToken) -> Option<SimTime> {
+        self.token_info.get(token.index()).map(|&(_, at)| at)
+    }
+
     /// Runtime counters (scheduling pressure, policy denials, …).
     #[must_use]
     pub fn stats(&self) -> &KernelStats {

@@ -25,7 +25,7 @@ pub enum KEventStatus {
 }
 
 /// One kernel-mediated asynchronous event. `Copy`: five words, moved
-/// through the dispatch scratch buffers by value.
+/// out of the queue by value when the dispatcher pops it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelEvent {
     /// The browser-level token identifying the event across layers.

@@ -10,10 +10,10 @@
 //!   `jsk-core` and `jsk-browser` call at span, instant, and metric sites
 //!   once it is attached. Names are [`Sym`]s from one process-wide table
 //!   ([`intern`]), taken once per process; hooks pass integers only.
-//! * [`MetricsRegistry`] / [`MetricsSnapshot`] — counters, gauges, and
-//!   fixed-bucket histograms with deterministic JSON export and
-//!   commutative merge (so `JSK_JOBS`-parallel harvests fold
-//!   bit-identically).
+//! * [`MetricsSnapshot`] — counters, gauges, and fixed-bucket
+//!   histograms, which the observer's hooks update in place, with
+//!   deterministic JSON export and commutative merge (so
+//!   `JSK_JOBS`-parallel harvests fold bit-identically).
 //! * [`chrome`] — Chrome trace-event JSON (Perfetto-loadable) export of
 //!   the buffered spans, plus the schema [`chrome::validate`] check CI
 //!   runs.
@@ -37,7 +37,7 @@ pub mod sym;
 pub mod text;
 
 pub use chrome::{Phase, TraceEvent, TraceSummary};
-pub use metrics::{intern, GaugeSnapshot, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{intern, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 pub use observer::{handle_of, ObsHandle, Observer};
 pub use sym::{Interner, Sym};
 pub use text::render_text;

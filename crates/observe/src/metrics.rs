@@ -1,20 +1,19 @@
-//! The metrics registry: counters, gauges, fixed-bucket histograms.
+//! Metrics: counters, gauges, fixed-bucket histograms.
 //!
-//! Storage is keyed by [`Sym`], so a hook call on a warm registry is a
-//! `BTreeMap` lookup plus an integer update — no hashing of strings, no
-//! allocation (histograms use a fixed inline bucket array).
-//!
-//! A [`MetricsSnapshot`] is the export: every series keyed by two integer
-//! ids, its metric name and its label set, taken from one process-wide,
-//! append-only series table. An observer name's [`Sym`] *is* its string
-//! id in that table ([`intern`]), so [`MetricsRegistry::snapshot`]
-//! copies ids and touches no string; [`MetricsSnapshot::with_labels`]
-//! interns its label group once and nests it under each series' label
-//! set with one memoized pair lookup, formatting nothing;
-//! [`MetricsSnapshot::merge`] compares
-//! and adds integers. So the path from a site's run through the shard,
-//! fleet and server merges builds no string. Names are spelled out only
-//! where text leaves the process: the JSON form (`Serialize`, keys
+//! A [`MetricsSnapshot`] is both the store and the export: every series
+//! keyed by two integer ids, its metric name and its label set, taken
+//! from one process-wide, append-only series table. An observer name's
+//! [`Sym`] *is* its string id in that table ([`intern`]), so an
+//! [`Observer`](crate::Observer) hook updates its unlabelled row in
+//! place — a binary search plus an integer update, no hashing of
+//! strings, no allocation on a warm row (histograms use a fixed inline
+//! bucket array) — and harvesting the run is a clone.
+//! [`MetricsSnapshot::with_labels`] interns its label group once and
+//! nests it under each series' label set with one memoized pair lookup,
+//! formatting nothing; [`MetricsSnapshot::merge`] compares and adds
+//! integers. So the path from a site's run through the shard, fleet and
+//! server merges builds no string. Names are spelled out only where text
+//! leaves the process: the JSON form (`Serialize`, keys
 //! `name{k=v,..}{k=v}` sorted by that text, the form committed bench
 //! records hold), the `/metrics` page
 //! ([`render_text`](crate::text::render_text), which reads the labels
@@ -50,117 +49,8 @@ pub fn bucket_index(value: u64) -> usize {
     }
 }
 
-/// A gauge's retained state: the most recent set and the high-water mark.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Gauge {
-    last: u64,
-    max: u64,
-}
-
-/// A histogram's retained state: fixed power-of-two buckets plus exact
-/// count/sum/max, all updated without allocating.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Histogram {
-    count: u64,
-    sum: u64,
-    max: u64,
-    buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-        }
-    }
-}
-
-/// Sym-keyed metric storage (see the module docs for the cost model).
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<Sym, u64>,
-    gauges: BTreeMap<Sym, Gauge>,
-    histograms: BTreeMap<Sym, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `delta` to the counter `name` (saturating).
-    pub fn counter_add(&mut self, name: Sym, delta: u64) {
-        let c = self.counters.entry(name).or_insert(0);
-        *c = c.saturating_add(delta);
-    }
-
-    /// Sets gauge `name` to `value`, tracking the maximum ever set.
-    pub fn gauge_set(&mut self, name: Sym, value: u64) {
-        let g = self.gauges.entry(name).or_default();
-        g.last = value;
-        g.max = g.max.max(value);
-    }
-
-    /// Records one observation into histogram `name`.
-    pub fn histogram_record(&mut self, name: Sym, value: u64) {
-        let h = self.histograms.entry(name).or_default();
-        h.count = h.count.saturating_add(1);
-        h.sum = h.sum.saturating_add(value);
-        h.max = h.max.max(value);
-        h.buckets[bucket_index(value)] += 1;
-    }
-
-    /// Current value of counter `name` (0 if never touched).
-    #[must_use]
-    pub fn counter(&self, name: Sym) -> u64 {
-        self.counters.get(&name).copied().unwrap_or(0)
-    }
-
-    /// Exports every metric as an unlabelled series. Each symbol already
-    /// is its name's process-wide id ([`intern`]), so this copies ids.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let series = |sym: &Sym| Series {
-            name: sym.index(),
-            labels: NO_LABELS,
-        };
-        MetricsSnapshot {
-            counters: self.counters.iter().map(|(s, v)| (series(s), *v)).collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(s, g)| {
-                    let g = GaugeSnapshot {
-                        last: g.last,
-                        max: g.max,
-                    };
-                    (series(s), g)
-                })
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(s, h)| {
-                    let h = HistogramSnapshot {
-                        count: h.count,
-                        sum: h.sum,
-                        max: h.max,
-                        buckets: h.buckets,
-                    };
-                    (series(s), h)
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Exported gauge state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GaugeSnapshot {
     /// The most recently set value.
     pub last: u64,
@@ -169,7 +59,7 @@ pub struct GaugeSnapshot {
 }
 
 /// Exported histogram state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct HistogramSnapshot {
     /// Number of observations.
     pub count: u64,
@@ -215,6 +105,16 @@ pub(crate) struct Series {
     pub(crate) labels: u32,
 }
 
+impl Series {
+    /// The series of an observer name, with no labels.
+    pub(crate) fn unlabelled(name: Sym) -> Series {
+        Series {
+            name: name.index(),
+            labels: NO_LABELS,
+        }
+    }
+}
+
 /// The process-wide series table: every metric name, label key and label
 /// value as a string id, every label group (the pairs of one
 /// `with_labels` call, in call order) as a list of id pairs, and every
@@ -245,7 +145,7 @@ pub(crate) fn series_table() -> MutexGuard<'static, SeriesTable> {
 /// The process-wide symbol of an observer name: its string id in the
 /// series table, interned on first use. Instrumented code takes its names
 /// once per process (`jsk-core` and `jsk-browser` hold them in statics),
-/// so attaching an observer interns nothing, a registry's snapshot copies
+/// so attaching an observer interns nothing, its hooks key their rows by
 /// the ids, and the Chrome export resolves them here too. Ids depend on
 /// first-use order, which varies with thread interleaving, so nothing
 /// exported is ordered by them.
@@ -374,6 +274,10 @@ impl SeriesTable {
     }
 }
 
+/// Rows a family reserves when it takes its first: a corpus site
+/// records 9–13 counters, so one allocation holds them all.
+const FAMILY_ROWS: usize = 16;
+
 /// One metric family of a snapshot: `(series, value)` rows sorted by
 /// series id, one row per series. Lookups are binary searches, and a
 /// snapshot's rows sit in one allocation.
@@ -406,12 +310,22 @@ impl<V: Clone> Family<V> {
         Some(&self.0[i].1)
     }
 
-    /// Folds `value` into `series`' row; a new row starts as `value`.
-    fn fold_one(&mut self, series: Series, value: &V, fold: impl Fn(&mut V, &V)) {
-        match self.0.binary_search_by_key(&series, |r| r.0) {
-            Ok(i) => fold(&mut self.0[i].1, value),
-            Err(i) => self.0.insert(i, (series, value.clone())),
-        }
+    /// The row of `series`, inserted from `new` on a miss: one binary
+    /// search, and a shift only when the series is new. A family's first
+    /// row reserves [`FAMILY_ROWS`], so the dozen or so series one run
+    /// records never regrow the vector.
+    pub(crate) fn entry(&mut self, series: Series, new: impl FnOnce() -> V) -> &mut V {
+        let i = match self.0.binary_search_by_key(&series, |r| r.0) {
+            Ok(i) => i,
+            Err(i) => {
+                if self.0.capacity() == 0 {
+                    self.0.reserve_exact(FAMILY_ROWS);
+                }
+                self.0.insert(i, (series, new()));
+                i
+            }
+        };
+        &mut self.0[i].1
     }
 
     /// Folds every row of `other` in. Rows new to `self` go to the end
@@ -462,7 +376,7 @@ fn add_histogram(mine: &mut HistogramSnapshot, other: &HistogramSnapshot) {
     }
 }
 
-/// An export of a registry, keyed by series ids (see the module docs).
+/// Recorded metrics, keyed by series ids (see the module docs).
 ///
 /// This is the shape that lands in `BENCH_<target>.json` run metadata and
 /// in the example's metrics file; its JSON is deterministic because keys
@@ -492,7 +406,8 @@ impl MetricsSnapshot {
     /// (`serve.flushes`, `site.runs{shard=0}`).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
         let series = series_table().parse(name);
-        self.counters.fold_one(series, &delta, add_counter);
+        let c = self.counters.entry(series, || 0);
+        *c = c.saturating_add(delta);
     }
 
     /// Counter value by its JSON-form key (0 when absent).
@@ -532,7 +447,7 @@ impl MetricsSnapshot {
     /// `kernel.equeue_depth` labelled `[("shard", "3")]` is the series
     /// whose JSON key is `kernel.equeue_depth{shard=3}`. Labelled
     /// snapshots from different shards then
-    /// [`merge`](MetricsSnapshot::merge) into one registry without their
+    /// [`merge`](MetricsSnapshot::merge) into one snapshot without their
     /// series colliding, which is how per-shard kernel metrics stay
     /// separable in a fleet-wide export. A serving layer labels its
     /// `{site,policy}` dimensions and the fleet nests its `{shard}` group
@@ -635,13 +550,13 @@ mod tests {
         let c = intern("kernel.dispatched");
         let g = intern("kernel.equeue_depth");
         let h = intern("kernel.dispatch_latency_ticks");
-        let mut reg = MetricsRegistry::new();
+        let mut reg = crate::Observer::new();
         reg.counter_add(c, 2);
         reg.counter_add(c, 3);
         reg.gauge_set(g, 7);
         reg.gauge_set(g, 4);
         reg.histogram_record(h, 5);
-        let snap = reg.snapshot();
+        let snap = reg.metrics();
         assert_eq!(snap.counter("kernel.dispatched"), 5);
         let gauge = snap.gauge("kernel.equeue_depth").unwrap();
         assert_eq!((gauge.last, gauge.max), (4, 7));
@@ -655,15 +570,15 @@ mod tests {
         let c = intern("c");
         let g = intern("g");
         let h = intern("h");
-        let mut a = MetricsRegistry::new();
+        let mut a = crate::Observer::new();
         a.counter_add(c, 1);
         a.gauge_set(g, 9);
         a.histogram_record(h, 2);
-        let mut b = MetricsRegistry::new();
+        let mut b = crate::Observer::new();
         b.counter_add(c, 10);
         b.gauge_set(g, 3);
         b.histogram_record(h, 100);
-        let (sa, sb) = (a.snapshot(), b.snapshot());
+        let (sa, sb) = (a.metrics(), b.metrics());
         let mut ab = sa.clone();
         ab.merge(&sb);
         let mut ba = sb.clone();
@@ -679,11 +594,11 @@ mod tests {
         let c = intern("kernel.dispatched");
         let g = intern("kernel.equeue_depth");
         let h = intern("kernel.dispatch_latency_ticks");
-        let mut reg = MetricsRegistry::new();
+        let mut reg = crate::Observer::new();
         reg.counter_add(c, 5);
         reg.gauge_set(g, 3);
         reg.histogram_record(h, 8);
-        let snap = reg.snapshot();
+        let snap = reg.metrics();
         let mut fleet = snap.with_labels(&[("shard", "0")]);
         fleet.merge(&snap.with_labels(&[("shard", "1")]));
         // Series stay separate per shard.
@@ -726,10 +641,10 @@ mod tests {
     #[test]
     fn labelling_preserves_merge_commutativity() {
         let c = intern("c");
-        let mut reg = MetricsRegistry::new();
+        let mut reg = crate::Observer::new();
         reg.counter_add(c, 2);
-        let s0 = reg.snapshot().with_labels(&[("shard", "0")]);
-        let s1 = reg.snapshot().with_labels(&[("shard", "1")]);
+        let s0 = reg.metrics().with_labels(&[("shard", "0")]);
+        let s1 = reg.metrics().with_labels(&[("shard", "1")]);
         let mut ab = s0.clone();
         ab.merge(&s1);
         let mut ba = s1;
@@ -741,11 +656,11 @@ mod tests {
     fn snapshot_json_roundtrips() {
         let c = intern("kernel.registered");
         let h = intern("kernel.dispatch_latency_ticks");
-        let mut reg = MetricsRegistry::new();
+        let mut reg = crate::Observer::new();
         reg.counter_add(c, 42);
         reg.histogram_record(h, 3);
         let snap = reg
-            .snapshot()
+            .metrics()
             .with_labels(&[("site", "b"), ("policy", "kernel")])
             .with_labels(&[("shard", "0")]);
         let json = serde_json::to_string_pretty(&snap).unwrap();

@@ -2,7 +2,8 @@
 //!
 //! `jsk-core` and `jsk-browser` hold an optional [`ObsHandle`] onto one
 //! shared [`Observer`] and call its hooks at the instrumentation points.
-//! Each hook takes a [`Sym`] plus plain integers — nothing allocates —
+//! Each hook takes a [`Sym`] plus plain integers — nothing allocates once
+//! a name has its row —
 //! and timestamps come from the deterministic simulation clock
 //! ([`SimTime`]), never from the host's wall clock, so a recorded trace is
 //! a pure function of the run's seed.
@@ -14,21 +15,22 @@
 //! export read names from that one table.
 
 use crate::chrome::{self, Phase, TraceEvent, TraceSummary};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::{bucket_index, MetricsSnapshot, Series};
 use crate::sym::Sym;
 use jsk_sim::time::SimTime;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-/// The standard observer: always maintains a [`MetricsRegistry`]; with
-/// [`Observer::with_trace`] it additionally buffers every span/instant as
-/// a [`TraceEvent`] for Chrome trace-event export. Metrics-only is the
-/// bench configuration (hook cost is a map update, no buffer growth);
-/// tracing is the profiling configuration.
+/// The standard observer: always records metrics straight into a
+/// [`MetricsSnapshot`]; with [`Observer::with_trace`] it additionally
+/// buffers every span/instant as a [`TraceEvent`] for Chrome trace-event
+/// export. Metrics-only is the bench configuration (hook cost is an
+/// in-place row update, no buffer growth); tracing is the profiling
+/// configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Observer {
-    metrics: MetricsRegistry,
+    metrics: MetricsSnapshot,
     record_events: bool,
     events: Vec<TraceEvent>,
     capacity: Option<usize>,
@@ -89,10 +91,10 @@ impl Observer {
         Rc::new(RefCell::new(self))
     }
 
-    /// Name-resolved snapshot of the metrics recorded so far.
+    /// A copy of the metrics recorded so far.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.metrics.clone()
     }
 
     /// Deterministic pretty JSON of the metrics snapshot.
@@ -171,17 +173,30 @@ impl Observer {
 
     /// Adds `delta` to a monotonically increasing counter.
     pub fn counter_add(&mut self, name: Sym, delta: u64) {
-        self.metrics.counter_add(name, delta);
+        let c = self.metrics.counters.entry(Series::unlabelled(name), || 0);
+        *c = c.saturating_add(delta);
     }
 
-    /// Sets the current value of a gauge (the registry also tracks the max).
+    /// Sets the current value of a gauge, tracking the maximum ever set.
     pub fn gauge_set(&mut self, name: Sym, value: u64) {
-        self.metrics.gauge_set(name, value);
+        let g = self
+            .metrics
+            .gauges
+            .entry(Series::unlabelled(name), Default::default);
+        g.last = value;
+        g.max = g.max.max(value);
     }
 
     /// Records one observation into a fixed-bucket histogram.
     pub fn histogram_record(&mut self, name: Sym, value: u64) {
-        self.metrics.histogram_record(name, value);
+        let h = self
+            .metrics
+            .histograms
+            .entry(Series::unlabelled(name), Default::default);
+        h.count = h.count.saturating_add(1);
+        h.sum = h.sum.saturating_add(value);
+        h.max = h.max.max(value);
+        h.buckets[bucket_index(value)] += 1;
     }
 }
 

@@ -7,7 +7,7 @@
 //!   the process-wide series table ([`crate::intern`]): the kernel and the
 //!   browser take their names once per process and pass the `Sym` on every
 //!   hook call, so neither attaching an observer nor a hook hashes a
-//!   string or allocates, and the metrics snapshot copies the ids.
+//!   string, and the observer's metric rows are keyed by the ids.
 //! * **Trace strings** (the browser trace's URLs, worker sources and
 //!   labels) go through an [`Interner`] the trace owns (re-exported as
 //!   `jsk_browser::trace::Interner`). It lives here so the observability

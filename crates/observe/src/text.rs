@@ -20,7 +20,7 @@
 //! `\n`), so it cannot end its line either. Counters render as one
 //! line; gauges render their last value plus a `_max` high-water series;
 //! histograms render cumulative `_bucket{le=...}` lines over the
-//! registry's power-of-two buckets plus `_sum`, `_count`, and `_max`.
+//! snapshot's power-of-two buckets plus `_sum`, `_count`, and `_max`.
 //!
 //! The output is a pure function of the snapshot: series are ordered by
 //! their JSON-form key (`name{k=v,..}{k=v}`), label keys are sorted,
@@ -90,7 +90,7 @@ fn type_header(out: &mut String, last: &mut String, base: &str, kind: &str) {
     }
 }
 
-/// The inclusive upper bound of histogram bucket `i` in the registry's
+/// The inclusive upper bound of histogram bucket `i` in the snapshot's
 /// power-of-two scheme (`v < 2^i`), rendered for a `le` label; the final
 /// overflow bucket is `+Inf`.
 fn bucket_bound(i: usize) -> String {
@@ -162,10 +162,10 @@ mod tests {
 
     #[test]
     fn renders_counters_gauges_and_histograms() {
-        let mut reg = crate::MetricsRegistry::new();
+        let mut reg = crate::Observer::new();
         reg.gauge_set(crate::intern("a.depth"), 9);
         reg.gauge_set(crate::intern("a.depth"), 2);
-        let mut snap = reg.snapshot();
+        let mut snap = reg.metrics();
         snap.counter_add("a.runs{shard=1}{site=x}", 3);
         snap.counter_add("a.runs{shard=2}{site=x}", 4);
         let page = render_text(&snap);
@@ -182,11 +182,11 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_and_end_at_inf() {
-        let mut reg = crate::MetricsRegistry::new();
+        let mut reg = crate::Observer::new();
         let h = crate::intern("lat");
         reg.histogram_record(h, 1);
         reg.histogram_record(h, 1000);
-        let page = render_text(&reg.snapshot());
+        let page = render_text(&reg.metrics());
         assert!(page.contains("lat_bucket{le=\"1\"} 1\n"));
         assert!(page.contains("lat_bucket{le=\"+Inf\"} 2\n"));
         assert!(page.contains("lat_sum 1001\n"));

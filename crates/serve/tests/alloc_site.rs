@@ -27,15 +27,15 @@ const SEED: u64 = 31;
 
 /// Allocations per site under the `kernel` policy, in corpus order.
 const CEILINGS: [(&str, u64); 13] = [
-    ("CVE-2018-5092", 204),
+    ("CVE-2018-5092", 202),
     ("CVE-2017-7843", 42),
     ("CVE-2015-7215", 82),
-    ("CVE-2014-3194", 111),
+    ("CVE-2014-3194", 109),
     ("CVE-2014-1719", 84),
     ("CVE-2014-1488", 87),
     ("CVE-2014-1487", 72),
-    ("CVE-2013-6646", 181),
-    ("CVE-2013-5602", 146),
+    ("CVE-2013-6646", 179),
+    ("CVE-2013-5602", 144),
     ("CVE-2013-1714", 86),
     ("CVE-2011-1190", 78),
     ("CVE-2010-4576", 72),

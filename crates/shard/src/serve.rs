@@ -335,7 +335,7 @@ pub struct ServeReport {
     /// Per-shard reports, indexed by shard id.
     pub shards: Vec<ShardReport>,
     /// Every shard's metrics merged under a `{shard=<id>}` label, so the
-    /// per-shard series stay separable in one registry.
+    /// per-shard series stay separable in one snapshot.
     pub fleet_metrics: MetricsSnapshot,
 }
 
